@@ -490,6 +490,9 @@ sparseStorageChecksum(const Geometry &g, const EngineConfig &ec,
     return ck;
 }
 
+/** Panel-1 overhead gauge: paged warm throughput over dense. */
+constexpr double kPagedOverDenseGauge = 0.95;
+
 bool
 storageSweep(Json *json)
 {
@@ -523,14 +526,19 @@ storageSweep(Json *json)
                     rPaged / 1e3,
                     static_cast<double>(sgPaged.residentBytes) / 1e6,
                     ok ? "yes" : "NO — BUG");
-        std::printf("(paged/dense warm throughput: %.3f — within "
-                    "~0.95 is the ISSUE 6 overhead gauge on "
-                    "fully-dense data)\n", rPaged / rDense);
+        // Reported, never enforced: the ratio swings with host load,
+        // so it must not decide the exit code.
+        const double ratio = rPaged / rDense;
+        const bool gaugeMet = ratio >= kPagedOverDenseGauge;
+        std::printf("(paged/dense warm throughput: %.3f — gauge >= "
+                    "%.2f on fully-dense data: %s)\n", ratio,
+                    kPagedOverDenseGauge, gaugeMet ? "met" : "NOT met");
         if (json) {
             json->beginObject("dense_data");
             json->field("dense_ops_per_s", rDense);
             json->field("paged_ops_per_s", rPaged);
-            json->field("paged_over_dense", rPaged / rDense);
+            json->field("paged_over_dense", ratio);
+            json->field("gauge_met", gaugeMet);
             jsonStorageGauges(*json, "dense_gauges", sgDense);
             jsonStorageGauges(*json, "paged_gauges", sgPaged);
             json->field("bit_identical", ok);

@@ -16,6 +16,8 @@
 
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <type_traits>
 
 namespace pypim
 {
@@ -41,20 +43,49 @@ class InternalError : public std::logic_error
 /** Throw an InternalError; use for conditions that indicate a bug. */
 [[noreturn]] void panic(const std::string &msg);
 
-/** Throw an Error unless @p cond holds. */
+/*
+ * Checks. A literal or existing string binds the std::string_view
+ * overload and costs nothing while the check passes; a message that
+ * needs formatting goes in a callable returning std::string, invoked
+ * only on failure:
+ *
+ *     fatalIf(n > limit, [&] { return "count " + std::to_string(n); });
+ */
+
+/** Callable producing a check's failure message. */
+template <typename F>
+concept MessageFn = std::is_invocable_r_v<std::string, F &>;
+
+/** Throw an Error if @p cond holds. */
 inline void
-fatalIf(bool cond, const std::string &msg)
+fatalIf(bool cond, std::string_view msg)
 {
-    if (cond)
-        fatal(msg);
+    if (cond) [[unlikely]]
+        fatal(std::string(msg));
 }
 
-/** Throw an InternalError unless @p cond holds. */
+template <MessageFn F>
 inline void
-panicIf(bool cond, const std::string &msg)
+fatalIf(bool cond, F &&msg)
 {
-    if (cond)
-        panic(msg);
+    if (cond) [[unlikely]]
+        fatal(msg());
+}
+
+/** Throw an InternalError if @p cond holds. */
+inline void
+panicIf(bool cond, std::string_view msg)
+{
+    if (cond) [[unlikely]]
+        panic(std::string(msg));
+}
+
+template <MessageFn F>
+inline void
+panicIf(bool cond, F &&msg)
+{
+    if (cond) [[unlikely]]
+        panic(msg());
 }
 
 } // namespace pypim

@@ -28,9 +28,10 @@ Tensor
 binaryOp(ROp op, const Tensor &a, const Tensor &b)
 {
     fatalIf(!a.valid() || !b.valid(), "op: invalid tensor");
-    fatalIf(a.size() != b.size(),
-            "op: size mismatch (" + std::to_string(a.size()) + " vs " +
-            std::to_string(b.size()) + ")");
+    fatalIf(a.size() != b.size(), [&] {
+        return "op: size mismatch (" + std::to_string(a.size()) +
+               " vs " + std::to_string(b.size()) + ")";
+    });
     fatalIf(a.dtype() != b.dtype(), "op: dtype mismatch");
     fatalIf(&a.device() != &b.device(),
             "op: tensors on different devices");

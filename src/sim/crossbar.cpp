@@ -1,6 +1,7 @@
 #include "sim/crossbar.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/error.hpp"
 #include "common/stats.hpp"
@@ -20,6 +21,10 @@ constexpr uint32_t kMaxBlocksPerCol =
 
 /** All-zero block every absent read resolves to. */
 constexpr uint64_t kZeroBlock[Crossbar::kBlockWords] = {};
+
+/** All-zero column every entirely-absent run input resolves to. */
+constexpr uint64_t kZeroCol[kMaxBlocksPerCol * Crossbar::kBlockWords] =
+    {};
 
 bool
 allZero(const uint64_t *w, uint32_t n)
@@ -86,6 +91,42 @@ class BlockPool
         const uint32_t id = static_cast<uint32_t>(refs_.size());
         refs_.push_back(1);
         words_.resize(words_.size() + Crossbar::kBlockWords, 0);
+        return id;
+    }
+
+    /**
+     * @p n consecutive all-zero blocks with refcount 1 (a column run),
+     * or Crossbar::kAbsent. The free list is reused only when its top
+     * @p n ids are consecutive (a run freed whole, as compact() and
+     * resetState() push them); otherwise the run is appended only
+     * while the free list is empty. A run thus never strands free
+     * blocks — the pool stays the size n alloc() calls would leave.
+     */
+    uint32_t
+    allocRun(uint32_t n)
+    {
+        if (free_.empty()) {
+            const uint32_t id = static_cast<uint32_t>(refs_.size());
+            refs_.resize(refs_.size() + n, 1);
+            words_.resize(words_.size() +
+                              static_cast<size_t>(n) *
+                                  Crossbar::kBlockWords,
+                          0);
+            return id;
+        }
+        if (free_.size() < n)
+            return Crossbar::kAbsent;
+        const size_t top = free_.size() - n;
+        const uint32_t id = free_[top];
+        for (uint32_t i = 1; i < n; ++i)
+            if (free_[top + i] != id + i)
+                return Crossbar::kAbsent;
+        free_.resize(top);
+        std::fill(refs_.begin() + id, refs_.begin() + id + n, 1u);
+        std::fill(words(id),
+                  words(id) + static_cast<size_t>(n) *
+                                  Crossbar::kBlockWords,
+                  0);
         return id;
     }
 
@@ -168,6 +209,7 @@ Crossbar::ensureTable()
         return;
     table_.assign(static_cast<size_t>(geo_->cols) * blocksPerCol_,
                   kAbsent);
+    runs_.assign((geo_->cols + 63) / 64, 0);
     if (!pool_)
         pool_ = std::make_shared<BlockPool>();
 }
@@ -192,6 +234,7 @@ Crossbar::blockRW(uint32_t col, uint32_t b)
         const uint32_t nid = pool_->clone(id);
         pool_->unref(id);
         id = nid;
+        clearRun(col);
     }
     return pool_->words(id);
 }
@@ -208,8 +251,160 @@ Crossbar::blockIfPresent(uint32_t col, uint32_t b)
         const uint32_t nid = pool_->clone(id);
         pool_->unref(id);
         id = nid;
+        clearRun(col);
     }
     return pool_->words(id);
+}
+
+// --- contiguous column runs ---------------------------------------------
+
+bool
+Crossbar::colAbsent(uint32_t col) const
+{
+    if (table_.empty())
+        return true;
+    const uint32_t *ids = table_.data() + tableIndex(col, 0);
+    for (uint32_t b = 0; b < blocksPerCol_; ++b)
+        if (ids[b] != kAbsent)
+            return false;
+    return true;
+}
+
+// The run fast paths below are small and sit on the replay hot path:
+// they are defined inline here, ahead of every caller, while the
+// per-block fallbacks and the run allocation stay out of line.
+
+inline uint64_t *
+Crossbar::runRW(uint32_t col)
+{
+    if (table_.empty() || !isRun(col))
+        return nullptr;
+    // A snapshot copies the whole table, so it shares a run whole:
+    // block 0's refcount speaks for every block of the run.
+    const uint32_t id = table_[tableIndex(col, 0)];
+    return pool_->refCount(id) == 1 ? pool_->words(id) : nullptr;
+}
+
+inline uint64_t *
+Crossbar::runMaterialise(uint32_t col)
+{
+    if (uint64_t *w = runRW(col))
+        return w;
+    return allocColRun(col);
+}
+
+uint64_t *
+Crossbar::allocColRun(uint32_t col)
+{
+    if (!colAbsent(col))
+        return nullptr;
+    ensureTable();
+    const uint32_t id = pool_->allocRun(blocksPerCol_);
+    if (id == kAbsent)
+        return nullptr;
+    uint32_t *ids = table_.data() + tableIndex(col, 0);
+    for (uint32_t b = 0; b < blocksPerCol_; ++b)
+        ids[b] = id + b;
+    runs_[col >> 6] |= 1ull << (col & 63);
+    return pool_->words(id);
+}
+
+inline const uint64_t *
+Crossbar::runRO(uint32_t col) const
+{
+    if (table_.empty())
+        return kZeroCol;
+    if (isRun(col))
+        return pool_->words(table_[tableIndex(col, 0)]);
+    return colAbsent(col) ? kZeroCol : nullptr;
+}
+
+inline void
+Crossbar::fillColFull(uint32_t col, bool ones)
+{
+    // Ones materialise every block; zeros only clear, so an absent
+    // block stays absent.
+    if (uint64_t *w = ones ? runMaterialise(col) : runRW(col))
+        std::fill(w, w + wordsPerCol_, ones ? ~0ull : 0);
+    else
+        fillColBlocks(col, ones);
+}
+
+void
+Crossbar::fillColBlocks(uint32_t col, bool ones)
+{
+    for (uint32_t b = 0; b < blocksPerCol_; ++b) {
+        uint64_t *blk = ones ? blockRW(col, b) : blockIfPresent(col, b);
+        if (blk)
+            std::fill(blk, blk + blockWords(b), ones ? ~0ull : 0);
+    }
+}
+
+inline void
+Crossbar::norColFull(uint32_t outCol, uint32_t inA, uint32_t inB)
+{
+    uint64_t *out = runRW(outCol);
+    const uint64_t *a = runRO(inA);
+    const uint64_t *b = runRO(inB);
+    if (out && a && b) {
+        for (uint32_t w = 0; w < wordsPerCol_; ++w)
+            out[w] &= ~(a[w] | b[w]);
+    } else {
+        norColBlocks(outCol, inA, inB);
+    }
+}
+
+void
+Crossbar::norColBlocks(uint32_t outCol, uint32_t inA, uint32_t inB)
+{
+    for (uint32_t b = 0; b < blocksPerCol_; ++b) {
+        const bool aIn = blockRO(inA, b) != nullptr;
+        const bool bIn = blockRO(inB, b) != nullptr;
+        if (!aIn && !bIn)
+            continue;  // out &= ~0: untouched
+        uint64_t *out = blockIfPresent(outCol, b);
+        if (!out)
+            continue;  // only clears: absent stays absent
+        // Inputs AFTER the output's clone (pool may move).
+        const uint64_t *a = aIn ? blockRO(inA, b) : kZeroBlock;
+        const uint64_t *bb = bIn ? blockRO(inB, b) : kZeroBlock;
+        const uint32_t used = blockWords(b);
+        for (uint32_t w = 0; w < used; ++w)
+            out[w] &= ~(a[w] | bb[w]);
+    }
+}
+
+inline void
+Crossbar::fusedNorColFull(uint32_t outCol, uint32_t inA, uint32_t inB)
+{
+    // out = ~(a|b) sets bits wherever both inputs read zero, so the
+    // output materialises every block unconditionally.
+    uint64_t *out = runMaterialise(outCol);
+    const uint64_t *a = runRO(inA);  // after the pool may grow
+    const uint64_t *b = runRO(inB);
+    if (out && a && b) {
+        for (uint32_t w = 0; w < wordsPerCol_; ++w)
+            out[w] = ~(a[w] | b[w]);
+    } else {
+        fusedNorColBlocks(outCol, inA, inB);
+    }
+}
+
+void
+Crossbar::fusedNorColBlocks(uint32_t outCol, uint32_t inA, uint32_t inB)
+{
+    for (uint32_t b = 0; b < blocksPerCol_; ++b) {
+        uint64_t *out = blockRW(outCol, b);
+        const uint64_t *a = blockRO(inA, b);
+        const uint64_t *bb = blockRO(inB, b);
+        if (!a)
+            a = kZeroBlock;
+        if (!bb)
+            bb = kZeroBlock;
+        const uint32_t used = blockWords(b);
+        for (uint32_t w = 0; w < used; ++w)
+            out[w] = ~(a[w] | bb[w]);
+    }
 }
 
 // --- horizontal logic ---------------------------------------------------
@@ -449,40 +644,16 @@ Crossbar::logicHFullPaged(const HalfGates &hg)
         const uint32_t outCol = static_cast<uint32_t>(sec.outCol);
         switch (hg.gate) {
           case Gate::Init0:
-            for (uint32_t b = 0; b < blocksPerCol_; ++b) {
-                uint64_t *out = blockIfPresent(outCol, b);
-                if (out)
-                    std::fill(out, out + blockWords(b), 0);
-            }
-            break;
           case Gate::Init1:
-            for (uint32_t b = 0; b < blocksPerCol_; ++b) {
-                uint64_t *out = blockRW(outCol, b);
-                std::fill(out, out + blockWords(b), ~0ull);
-            }
+            fillColFull(outCol, hg.gate == Gate::Init1);
             break;
           case Gate::Not:
           case Gate::Nor: {
             const uint32_t inA = static_cast<uint32_t>(sec.inCol[0]);
-            const uint32_t inB = sec.numIn == 2
-                ? static_cast<uint32_t>(sec.inCol[1])
-                : inA;
-            for (uint32_t b = 0; b < blocksPerCol_; ++b) {
-                const bool aIn = blockRO(inA, b) != nullptr;
-                const bool bIn = blockRO(inB, b) != nullptr;
-                if (!aIn && !bIn)
-                    continue;  // out &= ~0: untouched
-                uint64_t *out = blockIfPresent(outCol, b);
-                if (!out)
-                    continue;  // only clears: absent stays absent
-                // Inputs AFTER the output's clone (pool may move).
-                const uint64_t *a = aIn ? blockRO(inA, b) : kZeroBlock;
-                const uint64_t *bb =
-                    bIn ? blockRO(inB, b) : kZeroBlock;
-                const uint32_t used = blockWords(b);
-                for (uint32_t w = 0; w < used; ++w)
-                    out[w] &= ~(a[w] | bb[w]);
-            }
+            norColFull(outCol, inA,
+                       sec.numIn == 2
+                           ? static_cast<uint32_t>(sec.inCol[1])
+                           : inA);
             break;
           }
         }
@@ -518,25 +689,11 @@ Crossbar::logicHFusedInit1FullPaged(const HalfGates &hg)
         const Section &sec = hg.sections[s];
         if (!sec.active())
             continue;
-        const uint32_t outCol = static_cast<uint32_t>(sec.outCol);
         const uint32_t inA = static_cast<uint32_t>(sec.inCol[0]);
-        const uint32_t inB = sec.numIn == 2
-            ? static_cast<uint32_t>(sec.inCol[1])
-            : inA;
-        for (uint32_t b = 0; b < blocksPerCol_; ++b) {
-            // out = ~(a|b) sets bits wherever both inputs read zero,
-            // so the output block materialises unconditionally.
-            uint64_t *out = blockRW(outCol, b);
-            const uint64_t *a = blockRO(inA, b);
-            const uint64_t *bb = blockRO(inB, b);
-            if (!a)
-                a = kZeroBlock;
-            if (!bb)
-                bb = kZeroBlock;
-            const uint32_t used = blockWords(b);
-            for (uint32_t w = 0; w < used; ++w)
-                out[w] = ~(a[w] | bb[w]);
-        }
+        fusedNorColFull(static_cast<uint32_t>(sec.outCol), inA,
+                        sec.numIn == 2
+                            ? static_cast<uint32_t>(sec.inCol[1])
+                            : inA);
     }
 }
 
@@ -861,16 +1018,40 @@ Crossbar::replayProgramT(const ReplayProgram &prog, uint32_t self,
             const ReplayProgram::PSection *secs =
                 prog.sections.data() + in.off;
             const uint64_t *m = prog.maskWords.data() + in.maskOff;
-            if ((kFull || in.maskFull) &&
-                in.passKind != ReplayProgram::kMixedPass) {
-                // Kind-homogeneous blend-free pass (the common case:
-                // one op's sections share their gate, and merges
-                // chain gates of one kind): the section-kind switch
-                // hoists out of the column loop, leaving tight
-                // per-kind loops — with a single-word body for
-                // shallow (<= 64-row) dense columns.
-                const auto pk = static_cast<SecKind>(in.passKind);
-                if (!kPaged) {
+            if (kFull || in.maskFull) {
+                if (kPaged) {
+                    // Blend-free paged pass: each section resolves its
+                    // columns once — contiguous runs take the dense
+                    // word loop over one span, any other column the
+                    // per-block path (see the *ColFull kernels).
+                    for (uint32_t s = 0; s < in.count; ++s) {
+                        const ReplayProgram::PSection &sec = secs[s];
+                        switch (sec.kind) {
+                          case SecKind::Init0:
+                          case SecKind::Init1:
+                            fillColFull(sec.outCol,
+                                        sec.kind == SecKind::Init1);
+                            break;
+                          case SecKind::NotNor:
+                            norColFull(sec.outCol, sec.inA, sec.inB);
+                            break;
+                          case SecKind::FusedNotNor:
+                            fusedNorColFull(sec.outCol, sec.inA,
+                                            sec.inB);
+                            break;
+                        }
+                    }
+                    break;
+                }
+                if (in.passKind != ReplayProgram::kMixedPass) {
+                    // Kind-homogeneous blend-free pass (the common
+                    // case: one op's sections share their gate, and
+                    // merges chain gates of one kind): the
+                    // section-kind switch hoists out of the column
+                    // loop, leaving tight per-kind loops — with a
+                    // single-word body for shallow (<= 64-row)
+                    // columns.
+                    const auto pk = static_cast<SecKind>(in.passKind);
                     uint64_t *base = colWords(0);
                     switch (pk) {
                       case SecKind::Init0:
@@ -942,177 +1123,32 @@ Crossbar::replayProgramT(const ReplayProgram &prog, uint32_t self,
                     }
                     break;
                 }
-                switch (pk) {
-                  case SecKind::Init0:
-                    for (uint32_t s = 0; s < in.count; ++s)
-                        for (uint32_t b = 0; b < blocksPerCol_; ++b) {
-                            uint64_t *out =
-                                blockIfPresent(secs[s].outCol, b);
-                            if (out)
-                                std::fill(out, out + blockWords(b),
-                                          0);
-                        }
-                    break;
-                  case SecKind::Init1:
-                    for (uint32_t s = 0; s < in.count; ++s)
-                        for (uint32_t b = 0; b < blocksPerCol_; ++b) {
-                            uint64_t *out = blockRW(secs[s].outCol, b);
-                            std::fill(out, out + blockWords(b),
-                                      ~0ull);
-                        }
-                    break;
-                  case SecKind::NotNor:
-                    for (uint32_t s = 0; s < in.count; ++s) {
-                        const ReplayProgram::PSection &sec = secs[s];
-                        for (uint32_t b = 0; b < blocksPerCol_; ++b) {
-                            const bool aIn =
-                                blockRO(sec.inA, b) != nullptr;
-                            const bool bIn =
-                                blockRO(sec.inB, b) != nullptr;
-                            if (!aIn && !bIn)
-                                continue;
-                            uint64_t *out =
-                                blockIfPresent(sec.outCol, b);
-                            if (!out)
-                                continue;
-                            // Inputs AFTER the output clone step.
-                            const uint64_t *a =
-                                aIn ? blockRO(sec.inA, b)
-                                    : kZeroBlock;
-                            const uint64_t *bb =
-                                bIn ? blockRO(sec.inB, b)
-                                    : kZeroBlock;
-                            const uint32_t used = blockWords(b);
-                            for (uint32_t w = 0; w < used; ++w)
-                                out[w] &= ~(a[w] | bb[w]);
-                        }
-                    }
-                    break;
-                  case SecKind::FusedNotNor:
-                    if (blocksPerCol_ == 1) {
-                        // Shallow columns: one block per column, so
-                        // the block loop and tail-length reload
-                        // vanish from the hot path.
-                        const uint32_t used = blockWords(0);
-                        for (uint32_t s = 0; s < in.count; ++s) {
-                            const ReplayProgram::PSection &sec =
-                                secs[s];
-                            uint64_t *out = blockRW(sec.outCol, 0);
-                            const uint64_t *a = blockRO(sec.inA, 0);
-                            const uint64_t *bb = blockRO(sec.inB, 0);
-                            if (!a)
-                                a = kZeroBlock;
-                            if (!bb)
-                                bb = kZeroBlock;
-                            for (uint32_t w = 0; w < used; ++w)
-                                out[w] = ~(a[w] | bb[w]);
-                        }
-                        break;
-                    }
-                    for (uint32_t s = 0; s < in.count; ++s) {
-                        const ReplayProgram::PSection &sec = secs[s];
-                        for (uint32_t b = 0; b < blocksPerCol_; ++b) {
-                            uint64_t *out = blockRW(sec.outCol, b);
-                            const uint64_t *a = blockRO(sec.inA, b);
-                            const uint64_t *bb = blockRO(sec.inB, b);
-                            if (!a)
-                                a = kZeroBlock;
-                            if (!bb)
-                                bb = kZeroBlock;
-                            const uint32_t used = blockWords(b);
-                            for (uint32_t w = 0; w < used; ++w)
-                                out[w] = ~(a[w] | bb[w]);
-                        }
-                    }
-                    break;
-                }
-                break;
-            }
-            if (kFull || in.maskFull) {
-                // Blend-free pass: one section loop, no mask loads.
+                // Mixed blend-free pass: one section loop, no mask
+                // loads.
                 for (uint32_t s = 0; s < in.count; ++s) {
                     const ReplayProgram::PSection &sec = secs[s];
-                    if (!kPaged) {
-                        uint64_t *out = colWords(sec.outCol);
-                        switch (sec.kind) {
-                          case SecKind::Init0:
-                            std::fill(out, out + wpc, 0);
-                            break;
-                          case SecKind::Init1:
-                            std::fill(out, out + wpc, ~0ull);
-                            break;
-                          case SecKind::NotNor: {
-                            const uint64_t *a = colWords(sec.inA);
-                            const uint64_t *b = colWords(sec.inB);
-                            for (uint32_t w = 0; w < wpc; ++w)
-                                out[w] &= ~(a[w] | b[w]);
-                            break;
-                          }
-                          case SecKind::FusedNotNor: {
-                            const uint64_t *a = colWords(sec.inA);
-                            const uint64_t *b = colWords(sec.inB);
-                            for (uint32_t w = 0; w < wpc; ++w)
-                                out[w] = ~(a[w] | b[w]);
-                            break;
-                          }
-                        }
-                        continue;
-                    }
+                    uint64_t *out = colWords(sec.outCol);
                     switch (sec.kind) {
                       case SecKind::Init0:
-                        for (uint32_t b = 0; b < blocksPerCol_; ++b) {
-                            uint64_t *out =
-                                blockIfPresent(sec.outCol, b);
-                            if (out)
-                                std::fill(out, out + blockWords(b),
-                                          0);
-                        }
+                        std::fill(out, out + wpc, 0);
                         break;
                       case SecKind::Init1:
-                        for (uint32_t b = 0; b < blocksPerCol_; ++b) {
-                            uint64_t *out = blockRW(sec.outCol, b);
-                            std::fill(out, out + blockWords(b),
-                                      ~0ull);
-                        }
+                        std::fill(out, out + wpc, ~0ull);
                         break;
-                      case SecKind::NotNor:
-                        for (uint32_t b = 0; b < blocksPerCol_; ++b) {
-                            const bool aIn =
-                                blockRO(sec.inA, b) != nullptr;
-                            const bool bIn =
-                                blockRO(sec.inB, b) != nullptr;
-                            if (!aIn && !bIn)
-                                continue;
-                            uint64_t *out =
-                                blockIfPresent(sec.outCol, b);
-                            if (!out)
-                                continue;
-                            // Inputs AFTER the output clone step.
-                            const uint64_t *a =
-                                aIn ? blockRO(sec.inA, b)
-                                    : kZeroBlock;
-                            const uint64_t *bb =
-                                bIn ? blockRO(sec.inB, b)
-                                    : kZeroBlock;
-                            const uint32_t used = blockWords(b);
-                            for (uint32_t w = 0; w < used; ++w)
-                                out[w] &= ~(a[w] | bb[w]);
-                        }
+                      case SecKind::NotNor: {
+                        const uint64_t *a = colWords(sec.inA);
+                        const uint64_t *b = colWords(sec.inB);
+                        for (uint32_t w = 0; w < wpc; ++w)
+                            out[w] &= ~(a[w] | b[w]);
                         break;
-                      case SecKind::FusedNotNor:
-                        for (uint32_t b = 0; b < blocksPerCol_; ++b) {
-                            uint64_t *out = blockRW(sec.outCol, b);
-                            const uint64_t *a = blockRO(sec.inA, b);
-                            const uint64_t *bb = blockRO(sec.inB, b);
-                            if (!a)
-                                a = kZeroBlock;
-                            if (!bb)
-                                bb = kZeroBlock;
-                            const uint32_t used = blockWords(b);
-                            for (uint32_t w = 0; w < used; ++w)
-                                out[w] = ~(a[w] | bb[w]);
-                        }
+                      }
+                      case SecKind::FusedNotNor: {
+                        const uint64_t *a = colWords(sec.inA);
+                        const uint64_t *b = colWords(sec.inB);
+                        for (uint32_t w = 0; w < wpc; ++w)
+                            out[w] = ~(a[w] | b[w]);
                         break;
+                      }
                     }
                 }
                 break;
@@ -1447,22 +1483,8 @@ void
 Crossbar::writeFullPaged(uint32_t slot, uint32_t value)
 {
     const uint32_t pw = geo_->partitionWidth();
-    for (uint32_t p = 0; p < geo_->wordBits; ++p) {
-        const uint32_t col = p * pw + slot;
-        if ((value >> p) & 1) {
-            for (uint32_t b = 0; b < blocksPerCol_; ++b) {
-                uint64_t *blk = blockRW(col, b);
-                std::fill(blk, blk + blockWords(b), ~0ull);
-            }
-        } else {
-            // A 0 bit only clears: absent stays absent.
-            for (uint32_t b = 0; b < blocksPerCol_; ++b) {
-                uint64_t *blk = blockIfPresent(col, b);
-                if (blk)
-                    std::fill(blk, blk + blockWords(b), 0);
-            }
-        }
-    }
+    for (uint32_t p = 0; p < geo_->wordBits; ++p)
+        fillColFull(p * pw + slot, (value >> p) & 1);
 }
 
 void
@@ -1486,23 +1508,9 @@ void
 Crossbar::writeStripeFullPaged(std::span<const StripeWrite> ws)
 {
     const uint32_t pw = geo_->partitionWidth();
-    for (uint32_t p = 0; p < geo_->wordBits; ++p) {
-        for (const StripeWrite &sw : ws) {
-            const uint32_t col = p * pw + sw.slot;
-            if ((sw.value >> p) & 1) {
-                for (uint32_t b = 0; b < blocksPerCol_; ++b) {
-                    uint64_t *blk = blockRW(col, b);
-                    std::fill(blk, blk + blockWords(b), ~0ull);
-                }
-            } else {
-                for (uint32_t b = 0; b < blocksPerCol_; ++b) {
-                    uint64_t *blk = blockIfPresent(col, b);
-                    if (blk)
-                        std::fill(blk, blk + blockWords(b), 0);
-                }
-            }
-        }
-    }
+    for (uint32_t p = 0; p < geo_->wordBits; ++p)
+        for (const StripeWrite &sw : ws)
+            fillColFull(p * pw + sw.slot, (sw.value >> p) & 1);
 }
 
 uint32_t
@@ -1719,6 +1727,24 @@ Crossbar::scatterRowsPaged(uint32_t slot, uint32_t row, uint32_t count,
                            const uint32_t *values)
 {
     const uint32_t pw = geo_->partitionWidth();
+    // Per-block pre-scan: a plane that receives a set bit in EVERY
+    // block of its column materialises every block below anyway, so
+    // an all-absent column of such a plane densifies as one run.
+    constexpr uint32_t kBlockRows = kBlockWords * 64;
+    uint32_t planes = geo_->wordBits >= 32
+        ? ~0u
+        : (1u << geo_->wordBits) - 1;
+    for (uint32_t b = 0; b < blocksPerCol_ && planes; ++b) {
+        const uint32_t lo = std::max(row, b * kBlockRows);
+        const uint32_t hi = std::min(row + count, (b + 1) * kBlockRows);
+        uint32_t acc = 0;
+        for (uint32_t r = lo; r < hi && (acc & planes) != planes; ++r)
+            acc |= values[r - row];
+        planes &= acc;
+    }
+    for (; planes; planes &= planes - 1)
+        runMaterialise(
+            static_cast<uint32_t>(std::countr_zero(planes)) * pw + slot);
     uint64_t transposed = 0;
     uint32_t done = 0;
     while (done < count) {
@@ -1970,6 +1996,9 @@ Crossbar::restore(const Snapshot &s)
             if (id != kAbsent)
                 pool_->unref(id);
     table_ = s.table_;
+    // The snapshot's runs may be shared by other images: only fresh
+    // allocation establishes a run (see the file header).
+    runs_.assign(table_.empty() ? 0 : (geo_->cols + 63) / 64, 0);
     if (!pool_)
         pool_ = s.pool_;
 }
@@ -1988,6 +2017,7 @@ Crossbar::compact()
             if (allZero(pool_->words(id), blockWords(b))) {
                 pool_->unref(id);
                 id = kAbsent;
+                clearRun(col);
                 ++elided;
             }
         }
@@ -2071,6 +2101,7 @@ Crossbar::resetState()
             id = kAbsent;
         }
     }
+    std::fill(runs_.begin(), runs_.end(), 0);
 }
 
 void

@@ -59,10 +59,11 @@ writeSection(ByteWriter &w, uint32_t tag,
 void
 ByteReader::need(size_t n) const
 {
-    fatalIf(pos_ + n > n_,
-            "checkpoint: truncated payload (need " + std::to_string(n) +
-                " bytes at offset " + std::to_string(pos_) + " of " +
-                std::to_string(n_) + ")");
+    fatalIf(pos_ + n > n_, [&] {
+        return "checkpoint: truncated payload (need " +
+               std::to_string(n) + " bytes at offset " +
+               std::to_string(pos_) + " of " + std::to_string(n_) + ")";
+    });
 }
 
 uint8_t
@@ -103,8 +104,10 @@ ByteReader::bytes(uint8_t *out, size_t n)
 void
 ByteReader::expectEnd(const char *what) const
 {
-    fatalIf(pos_ != n_, std::string("checkpoint: trailing bytes in ") +
-                            what + " section");
+    fatalIf(pos_ != n_, [&] {
+        return std::string("checkpoint: trailing bytes in ") + what +
+               " section";
+    });
 }
 
 uint32_t
@@ -320,10 +323,11 @@ decodeCheckpoint(const std::vector<uint8_t> &bytes)
             for (uint32_t i = 0; i < nXb; ++i) {
                 CrossbarImage ci;
                 ci.xb = p.u32();
-                fatalIf(ci.xb >= img.geo.numCrossbars,
-                        "checkpoint: crossbar id " +
-                            std::to_string(ci.xb) +
-                            " outside the geometry");
+                fatalIf(ci.xb >= img.geo.numCrossbars, [&] {
+                    return "checkpoint: crossbar id " +
+                           std::to_string(ci.xb) +
+                           " outside the geometry";
+                });
                 const uint32_t nBlocks = p.u32();
                 ci.blocks.reserve(nBlocks);
                 for (uint32_t b = 0; b < nBlocks; ++b) {
@@ -333,9 +337,10 @@ decodeCheckpoint(const std::vector<uint8_t> &bytes)
                     fatalIf(rec.col >= img.geo.cols,
                             "checkpoint: block column out of range");
                     const uint32_t nWords = p.u32();
-                    fatalIf(nWords == 0 || nWords > 8,
-                            "checkpoint: bad block word count " +
-                                std::to_string(nWords));
+                    fatalIf(nWords == 0 || nWords > 8, [&] {
+                        return "checkpoint: bad block word count " +
+                               std::to_string(nWords);
+                    });
                     rec.words.resize(nWords);
                     for (uint64_t &word : rec.words)
                         word = p.u64();

@@ -72,9 +72,10 @@ uint32_t
 wireCount(ByteReader &r, uint32_t minBytes, const char *what)
 {
     const uint32_t n = r.u32();
-    fatalIf(n > r.remaining() / minBytes,
-            std::string("trace wire: implausible ") + what +
-                " count " + std::to_string(n));
+    fatalIf(n > r.remaining() / minBytes, [&] {
+        return std::string("trace wire: implausible ") + what +
+               " count " + std::to_string(n);
+    });
     return n;
 }
 
@@ -88,12 +89,15 @@ readProgram(ByteReader &r)
         ReplayProgram::Instr in;
         const uint8_t kind = r.u8();
         fatalIf(kind > static_cast<uint8_t>(ReplayProgram::Kind::VRun),
-                "trace wire: bad replay instruction kind " +
-                    std::to_string(kind));
+                [&] {
+                    return "trace wire: bad replay instruction kind " +
+                           std::to_string(kind);
+                });
         in.kind = static_cast<ReplayProgram::Kind>(kind);
         const uint8_t cls = r.u8();
-        fatalIf(cls >= static_cast<uint8_t>(OpClass::NumClasses),
-                "trace wire: bad op class " + std::to_string(cls));
+        fatalIf(cls >= static_cast<uint8_t>(OpClass::NumClasses), [&] {
+            return "trace wire: bad op class " + std::to_string(cls);
+        });
         in.cls = static_cast<OpClass>(cls);
         in.maskFull = r.u8();
         in.passKind = r.u8();
@@ -112,8 +116,10 @@ readProgram(ByteReader &r)
         const uint8_t kind = r.u8();
         fatalIf(kind > static_cast<uint8_t>(
                            ReplayProgram::SecKind::FusedNotNor),
-                "trace wire: bad pass-section kind " +
-                    std::to_string(kind));
+                [&] {
+                    return "trace wire: bad pass-section kind " +
+                           std::to_string(kind);
+                });
         s.kind = static_cast<ReplayProgram::SecKind>(kind);
         s.outCol = static_cast<uint16_t>(r.u32());
         s.inA = static_cast<uint16_t>(r.u32());
@@ -133,8 +139,9 @@ readProgram(ByteReader &r)
     for (uint32_t i = 0; i < nVgates; ++i) {
         ReplayProgram::VGate g;
         const uint8_t gate = r.u8();
-        fatalIf(gate > static_cast<uint8_t>(Gate::Nor),
-                "trace wire: bad LogicV gate " + std::to_string(gate));
+        fatalIf(gate > static_cast<uint8_t>(Gate::Nor), [&] {
+            return "trace wire: bad LogicV gate " + std::to_string(gate);
+        });
         g.gate = static_cast<Gate>(gate);
         g.inWord = r.u32();
         g.inShift = r.u32();

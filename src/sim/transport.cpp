@@ -84,9 +84,10 @@ errnoName()
 std::vector<uint8_t>
 encodeFrame(uint32_t type, const uint8_t *payload, size_t n)
 {
-    panicIf(!knownType(type),
-            "wire frame: encoding unknown message type " +
-                std::to_string(type));
+    panicIf(!knownType(type), [&] {
+        return "wire frame: encoding unknown message type " +
+               std::to_string(type);
+    });
     ByteWriter w;
     w.u32(kFrameMagic);
     w.u32(kWireVersion);
@@ -109,18 +110,21 @@ decodeFrame(const uint8_t *bytes, size_t n)
     fatalIf(r.u32() != kFrameMagic,
             "wire frame: bad magic (not a transport frame)");
     const uint32_t version = r.u32();
-    fatalIf(version != kWireVersion,
-            "wire frame: unsupported protocol version " +
-                std::to_string(version));
+    fatalIf(version != kWireVersion, [&] {
+        return "wire frame: unsupported protocol version " +
+               std::to_string(version);
+    });
     const uint32_t type = r.u32();
-    fatalIf(!knownType(type),
-            "wire frame: unknown message type " + std::to_string(type));
+    fatalIf(!knownType(type), [&] {
+        return "wire frame: unknown message type " + std::to_string(type);
+    });
     const uint64_t len = r.u64();
     const uint32_t crc = r.u32();
-    fatalIf(len != r.remaining(),
-            "wire frame: payload length mismatch (header says " +
-                std::to_string(len) + ", frame carries " +
-                std::to_string(r.remaining()) + ")");
+    fatalIf(len != r.remaining(), [&] {
+        return "wire frame: payload length mismatch (header says " +
+               std::to_string(len) + ", frame carries " +
+               std::to_string(r.remaining()) + ")";
+    });
     WireFrame f;
     f.type = type;
     f.payload.assign(bytes + kFrameHeader, bytes + n);
@@ -185,8 +189,10 @@ recvFrame(int fd)
     uint64_t len = 0;
     for (int i = 0; i < 8; ++i)
         len |= static_cast<uint64_t>(hdr[12 + i]) << (8 * i);
-    fatalIf(len > kMaxPayload,
-            "wire recv: implausible frame length " + std::to_string(len));
+    fatalIf(len > kMaxPayload, [&] {
+        return "wire recv: implausible frame length " +
+               std::to_string(len);
+    });
     std::vector<uint8_t> buf(kFrameHeader + static_cast<size_t>(len));
     std::memcpy(buf.data(), hdr, kFrameHeader);
     if (len)
@@ -375,10 +381,11 @@ SocketTransport::roundTrip(uint32_t d, uint32_t type,
     ++telemetry_.roundTrips;
     if (reply.type == kMsgErr)
         rethrowWireError(reply.payload);
-    panicIf(reply.type != type,
-            "shard transport: protocol desync (reply type " +
-                std::to_string(reply.type) + " to request " +
-                std::to_string(type) + ")");
+    panicIf(reply.type != type, [&] {
+        return "shard transport: protocol desync (reply type " +
+               std::to_string(reply.type) + " to request " +
+               std::to_string(type) + ")";
+    });
     return reply;
 }
 
@@ -648,8 +655,11 @@ SocketTransport::fetchImage()
                 rec.block = r.u32();
                 const uint32_t nWords = r.u32();
                 fatalIf(nWords == 0 || nWords > Crossbar::kBlockWords,
-                        "state fetch reply: bad block word count " +
-                            std::to_string(nWords));
+                        [&] {
+                            return "state fetch reply: bad block word "
+                                   "count " +
+                                   std::to_string(nWords);
+                        });
                 rec.words.resize(nWords);
                 for (uint64_t &word : rec.words)
                     word = r.u64();

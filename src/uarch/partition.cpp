@@ -63,10 +63,11 @@ expandLogicH(const MicroOp &op, const Geometry &geo)
     if (base.hasB) {
         const uint32_t lo = std::min(base.pA, base.pOut);
         const uint32_t hi = std::max(base.pA, base.pOut);
-        panicIf(base.pB < lo || base.pB > hi,
-                "logicH: inB partition " + std::to_string(base.pB) +
-                " outside the gate span [" + std::to_string(lo) + ", " +
-                std::to_string(hi) + "]");
+        panicIf(base.pB < lo || base.pB > hi, [&] {
+            return "logicH: inB partition " + std::to_string(base.pB) +
+                   " outside the gate span [" + std::to_string(lo) +
+                   ", " + std::to_string(hi) + "]";
+        });
     }
 
     // Repetition count (restriction 2). pStep == 0 encodes "no
@@ -98,9 +99,10 @@ expandLogicH(const MicroOp &op, const Geometry &geo)
         for (uint32_t p = 0; p < numPart; ++p) {
             if (fresh[p] == 0)
                 continue;
-            panicIf(hg.opcodes[p] != 0,
-                    "logicH: repeated gates overlap at partition " +
-                    std::to_string(p));
+            panicIf(hg.opcodes[p] != 0, [&] {
+                return "logicH: repeated gates overlap at partition " +
+                       std::to_string(p);
+            });
             hg.opcodes[p] = fresh[p];
         }
     }
@@ -159,19 +161,23 @@ expandLogicH(const MicroOp &op, const Geometry &geo)
                     "logicH: input half-gate without an output half");
             const uint32_t arity =
                 op.gate == Gate::Nor ? 2 : (op.gate == Gate::Not ? 1 : 0);
-            panicIf(sec.numIn != arity,
-                    "logicH: section input halves (" +
-                    std::to_string(sec.numIn) + ") do not match gate "
-                    "arity (" + std::to_string(arity) + ")");
+            panicIf(sec.numIn != arity, [&] {
+                return "logicH: section input halves (" +
+                       std::to_string(sec.numIn) +
+                       ") do not match gate arity (" +
+                       std::to_string(arity) + ")";
+            });
             ++activeSections;
         }
         hg.sections[hg.numSections++] = sec;
         begin = p + 1;
     }
-    panicIf(activeSections != count,
-            "logicH: active sections (" + std::to_string(activeSections) +
-            ") do not match encoded gate count (" +
-            std::to_string(count) + ")");
+    panicIf(activeSections != count, [&] {
+        return "logicH: active sections (" +
+               std::to_string(activeSections) +
+               ") do not match encoded gate count (" +
+               std::to_string(count) + ")";
+    });
     return hg;
 }
 

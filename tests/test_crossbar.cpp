@@ -427,3 +427,229 @@ TEST(PagedCrossbar, FuzzedSparseParityWithDense)
             ASSERT_EQ(paged.read(slot, row), dense.read(slot, row))
                 << "slot " << slot << " row " << row;
 }
+
+// Contiguous column runs. A run is allocated only when a full-mask op
+// materialises every block of an all-absent column; the full-mask
+// kernels then work on one span per column. These tests pin when a
+// column is (and is not) a run, that every invalidation site drops
+// the run, and that the result always matches the dense oracle.
+
+namespace
+{
+
+/** A full-width gate over every partition of the given slots. */
+HalfGates
+slotGate(const Geometry &geo, Gate g, uint32_t a, uint32_t b,
+         uint32_t out)
+{
+    return expandLogicH(MicroOp::logicH(g, geo.column(a, 0),
+                                        geo.column(b, 0),
+                                        geo.column(out, 0),
+                                        geo.partitions - 1, 1),
+                        geo);
+}
+
+/** Every plane column of @p slot is (or is not) a run. */
+bool
+slotRuns(const Crossbar &xb, uint32_t slot, bool expect)
+{
+    const Geometry &geo = xb.geometry();
+    for (uint32_t p = 0; p < geo.wordBits; ++p)
+        if (xb.columnIsRun(geo.column(slot, p)) != expect)
+            return false;
+    return true;
+}
+
+} // namespace
+
+TEST(PagedCrossbar, FullMaskDensificationAllocatesRuns)
+{
+    const Geometry geo = tallGeometry();
+    const uint32_t blocks = 4;
+    Crossbar paged(geo, XbarStorage::Paged);
+    Crossbar dense(geo, XbarStorage::Dense);
+    auto both = [&](auto &&op) {
+        op(paged);
+        op(dense);
+    };
+    // INIT1 over an all-absent slot: every column becomes one run.
+    both([&](Crossbar &x) {
+        x.logicHFull(slotGate(geo, Gate::Init1, 0, 0, 6));
+    });
+    EXPECT_TRUE(slotRuns(paged, 6, true));
+    EXPECT_EQ(paged.storageGauges().blocksPresent, 32u * blocks);
+    // A full write: set planes densify as runs, clear planes stay
+    // absent (and so are not runs).
+    both([&](Crossbar &x) { x.writeFull(7, 0x0000FFFFu); });
+    for (uint32_t p = 0; p < geo.wordBits; ++p)
+        EXPECT_EQ(paged.columnIsRun(geo.column(7, p)), p < 16)
+            << "plane " << p;
+    EXPECT_EQ(paged.storageGauges().blocksPresent, 48u * blocks);
+    // Fused INIT1+NOR into an absent slot, and a stateful NOR into a
+    // run output reading run and absent inputs.
+    both([&](Crossbar &x) {
+        x.logicHFusedInit1Full(slotGate(geo, Gate::Nor, 6, 7, 8));
+        x.logicHFull(slotGate(geo, Gate::Nor, 7, 9, 6));
+    });
+    EXPECT_TRUE(slotRuns(paged, 8, true));
+    EXPECT_TRUE(paged.sameState(dense));
+    EXPECT_EQ(paged.read(6, 1500), 0xFFFF0000u);
+    EXPECT_EQ(paged.read(8, 3), 0u);
+}
+
+TEST(PagedCrossbar, BulkScatterAllocatesRunsOnlyForAllNonZeroPlanes)
+{
+    const Geometry geo = tallGeometry();
+    Crossbar paged(geo, XbarStorage::Paged);
+    Crossbar dense(geo, XbarStorage::Dense);
+    // Bit 0 is set in every row; bit 1 only in rows of blocks 0..2,
+    // so plane 1 keeps block 3 absent; bit 2 never.
+    std::vector<uint32_t> values(geo.rows);
+    for (uint32_t r = 0; r < geo.rows; ++r)
+        values[r] = 1u | (r < 1536 && r % 3 == 0 ? 2u : 0u);
+    paged.scatterRows(4, 0, geo.rows, values.data());
+    dense.scatterRows(4, 0, geo.rows, values.data());
+    EXPECT_TRUE(paged.columnIsRun(geo.column(4, 0)));
+    EXPECT_FALSE(paged.columnIsRun(geo.column(4, 1)));
+    EXPECT_FALSE(paged.columnIsRun(geo.column(4, 2)));
+    // Exactly the blocks the per-block path would materialise.
+    EXPECT_EQ(paged.storageGauges().blocksPresent, 4u + 3u);
+    // A scatter that misses a block of the column allocates no run.
+    paged.scatterRows(5, 0, 1024, values.data());
+    dense.scatterRows(5, 0, 1024, values.data());
+    EXPECT_FALSE(paged.columnIsRun(geo.column(5, 0)));
+    EXPECT_EQ(paged.storageGauges().blocksPresent, 7u + 2u + 2u);
+    EXPECT_TRUE(paged.sameState(dense));
+}
+
+TEST(PagedCrossbar, RunsDropOnCompactResetAndReuseThePool)
+{
+    const Geometry geo = tallGeometry();
+    Crossbar paged(geo, XbarStorage::Paged);
+    Crossbar dense(geo, XbarStorage::Dense);
+    const HalfGates init1 = slotGate(geo, Gate::Init1, 0, 0, 6);
+    const HalfGates init0 = slotGate(geo, Gate::Init0, 0, 0, 6);
+    paged.logicHFull(init1);
+    const uint64_t resident = paged.storageGauges().residentBytes;
+    const uint64_t runBytes = 32u * 4u * Crossbar::kBlockWords * 8u;
+    // Decay to zero in place (the runs survive: ops never re-elide),
+    // then compact: every block is elided and no run is left.
+    paged.logicHFull(init0);
+    EXPECT_TRUE(slotRuns(paged, 6, true));
+    EXPECT_EQ(paged.compact(), 32u * 4u);
+    EXPECT_TRUE(slotRuns(paged, 6, false));
+    // Re-densifying reuses the runs freed whole: no block words are
+    // appended (only the free list's own capacity remains).
+    paged.logicHFull(init1);
+    EXPECT_TRUE(slotRuns(paged, 6, true));
+    const uint64_t reused = paged.storageGauges().residentBytes;
+    EXPECT_LT(reused - resident, runBytes);
+    // resetState drops every run and block; the same holds after it.
+    paged.resetState();
+    EXPECT_TRUE(slotRuns(paged, 6, false));
+    EXPECT_EQ(paged.storageGauges().blocksPresent, 0u);
+    paged.logicHFull(init1);
+    EXPECT_TRUE(slotRuns(paged, 6, true));
+    EXPECT_EQ(paged.storageGauges().residentBytes, reused);
+    // A partial compact (one decayed block of a run) drops the run.
+    const auto firstBlock = Range(0, 511, 1).expand(geo.rows);
+    paged.logicH(slotGate(geo, Gate::Init0, 0, 0, 6), firstBlock);
+    EXPECT_EQ(paged.compact(), 32u);
+    EXPECT_TRUE(slotRuns(paged, 6, false));
+    dense.logicHFull(init1);
+    dense.logicH(slotGate(geo, Gate::Init0, 0, 0, 6), firstBlock);
+    EXPECT_TRUE(paged.sameState(dense));
+    // The per-block path keeps computing correctly on that column.
+    paged.logicHFull(slotGate(geo, Gate::Nor, 2, 3, 6));
+    dense.logicHFull(slotGate(geo, Gate::Nor, 2, 3, 6));
+    paged.logicHFusedInit1Full(slotGate(geo, Gate::Not, 6, 6, 9));
+    dense.logicHFusedInit1Full(slotGate(geo, Gate::Not, 6, 6, 9));
+    EXPECT_TRUE(paged.sameState(dense));
+}
+
+TEST(PagedCrossbar, SharedRunIsNeverWrittenInPlace)
+{
+    const Geometry geo = tallGeometry();
+    Crossbar paged(geo, XbarStorage::Paged);
+    paged.logicHFull(slotGate(geo, Gate::Init1, 0, 0, 6));
+    paged.writeFull(7, 0x12345678u);
+    const Crossbar::Snapshot snap = paged.snapshot();
+    const uint64_t present = paged.storageGauges().blocksPresent;
+    // Every full-mask kernel over a shared run must clone instead.
+    paged.logicHFull(slotGate(geo, Gate::Nor, 7, 7, 6));
+    paged.writeFull(7, 0u);
+    EXPECT_EQ(snap.read(6, 1000), 0xFFFFFFFFu);
+    EXPECT_EQ(snap.read(7, 2047), 0x12345678u);
+    EXPECT_EQ(paged.read(6, 1000), ~0x12345678u);
+    EXPECT_EQ(paged.read(7, 2047), 0u);
+    // The clones replaced the written runs' table entries; a run the
+    // NOR left untouched (both inputs absent) stays a shared run.
+    for (uint32_t p = 0; p < geo.wordBits; ++p) {
+        const bool written = (0x12345678u >> p) & 1;
+        EXPECT_EQ(paged.columnIsRun(geo.column(6, p)), !written)
+            << "plane " << p;
+        EXPECT_FALSE(paged.columnIsRun(geo.column(7, p)));
+    }
+    EXPECT_EQ(paged.storageGauges().blocksPresent, present);
+    // loadBlock over a shared run clones too, and drops the run.
+    paged.restore(snap);
+    EXPECT_TRUE(slotRuns(paged, 6, false)) << "restore drops runs";
+    Crossbar fresh(geo, XbarStorage::Paged);
+    fresh.logicHFull(slotGate(geo, Gate::Init1, 0, 0, 6));
+    const Crossbar::Snapshot freshSnap = fresh.snapshot();
+    const uint64_t words[Crossbar::kBlockWords] = {0x5A};
+    fresh.loadBlock(geo.column(6, 3), 1, words, Crossbar::kBlockWords);
+    EXPECT_FALSE(fresh.columnIsRun(geo.column(6, 3)));
+    EXPECT_TRUE(fresh.columnIsRun(geo.column(6, 4)));
+    EXPECT_EQ(freshSnap.read(6, 512), 0xFFFFFFFFu);
+    EXPECT_EQ(fresh.read(6, 512), ~(1u << 3));
+    EXPECT_EQ(fresh.read(6, 513), 0xFFFFFFFFu);
+}
+
+TEST(PagedCrossbar, BlockByBlockDensificationStaysPerBlock)
+{
+    const Geometry geo = tallGeometry();
+    Crossbar paged(geo, XbarStorage::Paged);
+    Crossbar dense(geo, XbarStorage::Dense);
+    // Densify every block of slots 2 and 3 one partial mask at a
+    // time: fully present, but not allocated as a run.
+    Rng rng(99);
+    for (uint32_t b = 0; b < 4; ++b) {
+        const auto mask =
+            Range(b * 512, b * 512 + 511, 1).expand(geo.rows);
+        for (Crossbar *x : {&paged, &dense}) {
+            x->logicH(slotGate(geo, Gate::Init1, 0, 0, 2), mask);
+            x->write(3, 0xF0F0F0F0u, mask);
+        }
+    }
+    EXPECT_TRUE(slotRuns(paged, 2, false));
+    EXPECT_EQ(paged.storageGauges().blocksPresent, (32u + 16u) * 4u);
+    for (uint32_t r = 0; r < geo.rows; r += 7) {
+        const uint32_t v = rng.word();
+        paged.writeRow(4, v, r);
+        dense.writeRow(4, v, r);
+    }
+    // Full-mask ops mixing per-block columns with run outputs: run
+    // outputs over per-block inputs, one input of each kind, and a
+    // per-block output over a run input.
+    const auto both = [&](bool fused, Gate g, uint32_t a, uint32_t b,
+                          uint32_t out) {
+        const HalfGates hg = slotGate(geo, g, a, b, out);
+        for (Crossbar *x : {&paged, &dense}) {
+            if (fused)
+                x->logicHFusedInit1Full(hg);
+            else
+                x->logicHFull(hg);
+        }
+        EXPECT_TRUE(paged.sameState(dense)) << "out slot " << out;
+    };
+    both(true, Gate::Nor, 3, 4, 5);
+    both(false, Gate::Init1, 0, 0, 6);
+    both(false, Gate::Nor, 5, 4, 6);
+    both(false, Gate::Nor, 4, 5, 2);
+    both(false, Gate::Nor, 2, 4, 5);
+    both(false, Gate::Init0, 0, 0, 3);
+    EXPECT_TRUE(slotRuns(paged, 5, true));
+    EXPECT_TRUE(slotRuns(paged, 6, true));
+    EXPECT_TRUE(slotRuns(paged, 2, false));
+}

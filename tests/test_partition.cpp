@@ -162,6 +162,31 @@ TEST(Partition, RejectsInnerInputOutsideSpan)
     const MicroOp op =
         MicroOp::logicH(Gate::Nor, col(2, 0), col(9, 1), col(5, 3), 5, 0);
     EXPECT_THROW(expandLogicH(op, g), InternalError);
+    // The lazily formatted message still carries the operands.
+    try {
+        expandLogicH(op, g);
+    } catch (const InternalError &e) {
+        EXPECT_NE(std::string(e.what()).find("inB partition 9 outside "
+                                             "the gate span [2, 5]"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(Partition, ChecksFormatTheirMessageOnlyOnFailure)
+{
+    int built = 0;
+    const auto msg = [&] {
+        ++built;
+        return std::string("formatted ") + std::to_string(built);
+    };
+    panicIf(false, msg);
+    fatalIf(false, msg);
+    EXPECT_EQ(built, 0);
+    EXPECT_THROW(panicIf(true, msg), InternalError);
+    EXPECT_THROW(fatalIf(true, msg), Error);
+    EXPECT_EQ(built, 2);
+    EXPECT_THROW(fatalIf(true, "literal"), Error);
 }
 
 TEST(Partition, RejectsOverlappingRepetition)

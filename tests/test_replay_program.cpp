@@ -302,6 +302,103 @@ TEST_P(ReplayProgramFuzz, CompiledReplayBitIdenticalToInterpreter)
     }
 }
 
+TEST_P(ReplayProgramFuzz, CompiledReplayUnderSnapshots)
+{
+    // Paged storage with only a third of the rows of half the slots
+    // seeded, so full-mask ops allocate contiguous column runs and the
+    // compiled executor takes its run path. A snapshot taken
+    // mid-stream then shares every run: replay
+    // must clone instead of writing through it, and must materialise
+    // exactly the blocks the per-block kernels would. Unfused, the
+    // raw-stream serial oracle (masked per-block kernels only) is
+    // that reference; fused, dead-INIT folding legitimately changes
+    // which blocks materialise, so the fused interpreter is.
+    const auto [seed, caseIdx] = GetParam();
+    const EngineCase &ec = engineCase(caseIdx);
+    Geometry g = fuzzGeometry();
+    g.numCrossbars = 4;
+    std::vector<Word> ops;
+    const auto seedHalf = [&](auto &sink) {
+        Rng rng(seed);
+        for (uint32_t xb = 0; xb < g.numCrossbars; ++xb)
+            for (uint32_t row = 0; row < g.rows; row += 3)
+                for (uint32_t slot = 0; slot < g.slots(); slot += 2)
+                    sink.crossbar(xb).writeRow(slot, rng.word(), row);
+    };
+    const auto check = [&](bool fuse, uint32_t devices) {
+        const EngineConfig base = ec.cfg.withStorage(XbarStorage::Paged)
+                                      .withDevices(devices);
+        Simulator oracle(g);
+        Simulator atSnapshot(g);  // stops at the snapshot point
+        SimulatorGroup interp(g, base.withCompiledReplay(false));
+        SimulatorGroup compiled(g, base.withCompiledReplay(true));
+        seedHalf(oracle);
+        seedHalf(atSnapshot);
+        seedHalf(interp);
+        seedHalf(compiled);
+        auto ti = interp.prepareTrace(ops.data(), ops.size(), fuse);
+        auto tc = compiled.prepareTrace(ops.data(), ops.size(), fuse);
+        ASSERT_NE(ti, nullptr);
+        ASSERT_NE(tc, nullptr);
+        ASSERT_EQ(tc->programs.size(), tc->used);
+
+        oracle.performBatch(ops.data(), ops.size());
+        atSnapshot.performBatch(ops.data(), ops.size());
+        interp.submitTrace(ti);
+        compiled.submitTrace(tc);
+        compiled.flush();
+        std::vector<Crossbar::Snapshot> snaps;
+        for (uint32_t xb = 0; xb < g.numCrossbars; ++xb)
+            snaps.push_back(compiled.crossbar(xb).snapshot());
+
+        for (int rep = 0; rep < 2; ++rep) {
+            oracle.performBatch(ops.data(), ops.size());
+            interp.submitTrace(ti);
+            compiled.submitTrace(tc);
+        }
+        interp.flush();
+        compiled.flush();
+        for (uint32_t xb = 0; xb < g.numCrossbars; ++xb) {
+            ASSERT_TRUE(atSnapshot.crossbar(xb).sameState(snaps[xb]))
+                << "snapshot of crossbar " << xb << " moved";
+            ASSERT_TRUE(oracle.crossbar(xb).sameState(
+                compiled.crossbar(xb)))
+                << "compiled crossbar " << xb;
+        }
+        const uint64_t present = interp.storageGauges().blocksPresent;
+        if (!fuse)
+            EXPECT_EQ(oracle.storageGauges().blocksPresent, present);
+        EXPECT_EQ(compiled.storageGauges().blocksPresent, present);
+
+        // Restore the mid-stream image and replay the same two reps:
+        // bit-identical to the uninterrupted runs.
+        for (uint32_t xb = 0; xb < g.numCrossbars; ++xb)
+            compiled.crossbar(xb).restore(snaps[xb]);
+        for (int rep = 0; rep < 2; ++rep)
+            compiled.submitTrace(tc);
+        compiled.flush();
+        for (uint32_t xb = 0; xb < g.numCrossbars; ++xb)
+            ASSERT_TRUE(interp.crossbar(xb).sameState(
+                compiled.crossbar(xb)))
+                << "restored crossbar " << xb;
+        EXPECT_EQ(compiled.storageGauges().blocksPresent, present);
+    };
+    // One block per column (every present column is a run) and two.
+    for (const uint32_t rows : {64u, 1024u}) {
+        g.rows = rows;
+        Rng streamRng(seed);
+        ops = randomTraceStream(streamRng, g, 140);
+        for (const bool fuse : {false, true})
+            for (uint32_t devices : {1u, 2u}) {
+                SCOPED_TRACE(::testing::Message()
+                             << ec.name << " rows=" << rows
+                             << " fuse=" << fuse
+                             << " devices=" << devices);
+                check(fuse, devices);
+            }
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Streams, ReplayProgramFuzz,
     ::testing::Combine(::testing::Values(101ull, 211ull, 307ull),
