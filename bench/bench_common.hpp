@@ -45,8 +45,8 @@ benchGeometry(uint32_t crossbars = 16)
 }
 
 /**
- * Process-wide execution-engine selection for bench simulators.
- * Defaults from the PYPIM_ENGINE / PYPIM_THREADS environment (serial
+ * Process-wide deployment settings for bench simulators. Defaults
+ * from the PYPIM_* environment (EngineConfig::fromEnv; one thread
  * when unset); overridable on the command line via applyEngineFlags.
  */
 inline EngineConfig &
@@ -68,17 +68,13 @@ jsonOutPath()
 }
 
 /**
- * Parse and strip --engine=serial|sharded|trace, --threads=N,
- * --pipeline=on|off, --trace-cache=on|off, --devices=N,
- * --affinity=on|off, --storage=dense|paged, --bulk-io=on|off,
- * --compiled-replay=on|off and --json=PATH from argv (before
- * benchmark::Initialize, which rejects unknown flags), storing the
- * result in engineConfig() / jsonOutPath(). Invalid values abort,
- * exactly like the PYPIM_ENGINE / PYPIM_THREADS / PYPIM_PIPELINE /
- * PYPIM_TRACE_CACHE / PYPIM_DEVICES / PYPIM_AFFINITY /
- * PYPIM_XBAR_STORAGE / PYPIM_BULK_IO / PYPIM_COMPILED_REPLAY
+ * Parse and strip --threads=N, --pipeline=on|off, --devices=N,
+ * --affinity=on|off, --storage=dense|paged, --transport=inproc|socket
+ * and --json=PATH from argv (before benchmark::Initialize, which
+ * rejects unknown flags), storing the result in engineConfig() /
+ * jsonOutPath(). Invalid values abort, exactly like the PYPIM_*
  * environment path — a typo must never silently benchmark the wrong
- * engine.
+ * configuration.
  */
 inline void
 applyEngineFlags(int &argc, char **argv)
@@ -91,14 +87,6 @@ applyEngineFlags(int &argc, char **argv)
             jsonOutPath() = arg.substr(7);
             fatalIf(jsonOutPath().empty(),
                     "--json=: expected a file path");
-        } else if (arg.rfind("--trace-cache=", 0) == 0) {
-            const std::string v = arg.substr(14);
-            if (v == "on" || v == "1")
-                cfg.traceCache = true;
-            else if (v == "off" || v == "0")
-                cfg.traceCache = false;
-            else
-                fatal("--trace-cache=" + v + ": expected on|off");
         } else if (arg.rfind("--pipeline=", 0) == 0) {
             const std::string v = arg.substr(11);
             if (v == "on" || v == "1")
@@ -107,18 +95,6 @@ applyEngineFlags(int &argc, char **argv)
                 cfg.pipeline = false;
             else
                 fatal("--pipeline=" + v + ": expected on|off");
-        } else if (arg.rfind("--engine=", 0) == 0) {
-            const std::string v = arg.substr(9);
-            if (v == "sharded")
-                cfg.kind = EngineKind::Sharded;
-            else if (v == "trace")
-                cfg.kind = EngineKind::Trace;
-            else if (v == "serial")
-                cfg.kind = EngineKind::Serial;
-            else
-                fatal("--engine=" + v +
-                      ": unknown engine (expected serial|sharded|"
-                      "trace)");
         } else if (arg.rfind("--threads=", 0) == 0) {
             const char *s = arg.c_str() + 10;
             char *end = nullptr;
@@ -153,22 +129,6 @@ applyEngineFlags(int &argc, char **argv)
                 cfg.storage = XbarStorage::Paged;
             else
                 fatal("--storage=" + v + ": expected dense|paged");
-        } else if (arg.rfind("--bulk-io=", 0) == 0) {
-            const std::string v = arg.substr(10);
-            if (v == "on" || v == "1")
-                cfg.bulkIo = true;
-            else if (v == "off" || v == "0")
-                cfg.bulkIo = false;
-            else
-                fatal("--bulk-io=" + v + ": expected on|off");
-        } else if (arg.rfind("--compiled-replay=", 0) == 0) {
-            const std::string v = arg.substr(18);
-            if (v == "on" || v == "1")
-                cfg.compiledReplay = true;
-            else if (v == "off" || v == "0")
-                cfg.compiledReplay = false;
-            else
-                fatal("--compiled-replay=" + v + ": expected on|off");
         } else if (arg.rfind("--transport=", 0) == 0) {
             const std::string v = arg.substr(12);
             if (v == "inproc")
@@ -189,28 +149,18 @@ inline void
 printEngineBanner()
 {
     const EngineConfig &cfg = engineConfig();
-    std::printf("simulator engine: %s", engineKindName(cfg.kind));
-    if (cfg.kind == EngineKind::Sharded)
-        std::printf(" (%u threads%s)", cfg.resolvedThreads(),
-                    cfg.affinity ? ", pinned" : "");
+    std::printf("simulator: threads=%u%s", cfg.resolvedThreads(),
+                cfg.affinity ? " (pinned)" : "");
     std::printf(", pipeline %s", cfg.pipeline ? "on" : "off");
-    std::printf(", trace cache %s", cfg.traceCache ? "on" : "off");
     std::printf(", %s storage", xbarStorageName(cfg.storage));
-    std::printf(", bulk I/O %s", cfg.bulkIo ? "on" : "off");
-    std::printf(", compiled replay %s",
-                cfg.compiledReplay ? "on" : "off");
     std::printf(", %s transport", transportKindName(cfg.transport));
     if (cfg.devices > 1)
         std::printf(", %u sub-devices", cfg.devices);
-    std::printf("  [--engine=serial|sharded|trace --threads=N "
-                "--pipeline=on|off --trace-cache=on|off --devices=N "
+    std::printf("  [--threads=N --pipeline=on|off --devices=N "
                 "--affinity=on|off --storage=dense|paged "
-                "--bulk-io=on|off --compiled-replay=on|off "
                 "--transport=inproc|socket --json=PATH "
-                "or PYPIM_ENGINE/PYPIM_THREADS/PYPIM_PIPELINE/"
-                "PYPIM_TRACE_CACHE/PYPIM_DEVICES/PYPIM_AFFINITY/"
-                "PYPIM_XBAR_STORAGE/PYPIM_BULK_IO/"
-                "PYPIM_COMPILED_REPLAY/PYPIM_TRANSPORT]\n");
+                "or PYPIM_THREADS/PYPIM_PIPELINE/PYPIM_DEVICES/"
+                "PYPIM_AFFINITY/PYPIM_XBAR_STORAGE/PYPIM_TRANSPORT]\n");
 }
 
 /**
@@ -325,15 +275,11 @@ jsonConfig(Json &j, const Geometry &g)
 {
     const EngineConfig &cfg = engineConfig();
     j.beginObject("config");
-    j.field("engine", engineKindName(cfg.kind));
     j.field("threads", cfg.resolvedThreads());
     j.field("pipeline", cfg.pipeline);
-    j.field("trace_cache", cfg.traceCache);
     j.field("devices", cfg.devices);
     j.field("affinity", cfg.affinity);
     j.field("storage", xbarStorageName(cfg.storage));
-    j.field("bulk_io", cfg.bulkIo);
-    j.field("compiled_replay", cfg.compiledReplay);
     j.field("transport", transportKindName(cfg.transport));
     j.field("crossbars", g.numCrossbars);
     j.field("rows", g.rows);

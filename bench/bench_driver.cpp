@@ -71,10 +71,9 @@ void
 overlapReport()
 {
     const Geometry g = benchGeometry(64);
-    EngineConfig cfg = engineConfig();
-    cfg.kind = EngineKind::Sharded;
-    std::printf("\n=== Pipeline overlap efficiency (sharded, %u "
-                "threads, 64 crossbars, stream cache off) ===\n",
+    const EngineConfig cfg = engineConfig();
+    std::printf("\n=== Pipeline overlap efficiency (threads=%u, 64 "
+                "crossbars, stream cache off) ===\n",
                 cfg.resolvedThreads());
     std::printf("%-10s %16s %16s %16s %10s\n", "kernel",
                 "translate [ms]", "sync e2e [ms]", "piped e2e [ms]",
@@ -132,8 +131,8 @@ steadyStateReport(double minSeconds = 0.3)
     const EngineConfig cfg = engineConfig();
     const RTypeInstr in = fullInstr(g, ROp::Mul, DType::Int32);
     std::printf("\n=== Warm-cache steady-state throughput (repeated "
-                "int mul, %u crossbars, engine %s%s) ===\n",
-                g.numCrossbars, engineKindName(cfg.kind),
+                "int mul, %u crossbars, threads=%u%s) ===\n",
+                g.numCrossbars, cfg.resolvedThreads(),
                 cfg.pipeline ? ", pipelined" : "");
     std::printf("%-24s %12s %9s %8s %8s %8s %8s\n", "configuration",
                 "instr/s", "speedup", "hits", "waw", "chain",

@@ -5,10 +5,9 @@
  * the host-side micro-op execution rate as the simulated memory scales
  * in crossbar count and rows — the quantities that determine the cost
  * of one broadcast logic op (O(crossbars * rows/64) word operations) —
- * and sweeps the execution engines (op-major serial, crossbar-major
- * trace, sharded across thread counts) to show how simulation
- * throughput scales with cache blocking and host cores the way real
- * PIM scales with independent compute arrays. The pipelined sweep
+ * and sweeps the engine's thread count to show how simulation
+ * throughput scales with host cores the way real PIM scales with
+ * independent compute arrays. The pipelined sweep
  * additionally measures the asynchronous submit path (driver
  * translation overlapped with engine replay, --pipeline=on) against
  * the strictly synchronous one end-to-end, and the storage sweep
@@ -23,8 +22,8 @@
 
 #include "bench_common.hpp"
 #include "sim/checkpoint.hpp"
+#include "sim/replay_program.hpp"
 #include "sim/serialize.hpp"
-#include "sim/sharded_engine.hpp"
 
 using namespace pypim;
 using namespace pypim::bench;
@@ -88,26 +87,12 @@ rawLogicOps(benchmark::State &state)
         static_cast<int64_t>(batch.size()));
 }
 
-/** Trace-engine logic rate (crossbar-major serial replay). */
-void
-traceLogicOps(benchmark::State &state)
-{
-    Geometry g = benchGeometry(static_cast<uint32_t>(state.range(0)));
-    Simulator sim(g, EngineConfig::trace());
-    const std::vector<Word> batch = logicBatch(g);
-    for (auto _ : state)
-        sim.performBatch(batch.data(), batch.size());
-    state.SetItemsProcessed(
-        static_cast<int64_t>(state.iterations()) *
-        static_cast<int64_t>(batch.size()));
-}
-
-/** Sharded-engine logic rate: Args({crossbars, threads}). */
+/** Logic rate at a thread count: Args({crossbars, threads}). */
 void
 shardedLogicOps(benchmark::State &state)
 {
     Geometry g = benchGeometry(static_cast<uint32_t>(state.range(0)));
-    Simulator sim(g, EngineConfig::sharded(
+    Simulator sim(g, EngineConfig{}.withThreads(
                          static_cast<uint32_t>(state.range(1))));
     const std::vector<Word> batch = logicBatch(g);
     for (auto _ : state)
@@ -160,95 +145,64 @@ replayRate(Simulator &sim, const std::vector<Word> &batch,
 }
 
 /**
- * Serial-vs-trace-vs-sharded scaling sweep: the headline table for
- * the engine work. Broadcast logic dominates every workload in the
- * repo, so the sweep replays the canonical INIT+NOR batch. Speedups
- * over the op-major serial reference come from two separable
- * mechanisms, both visible here: the trace column isolates
- * decode-once + crossbar-major cache blocking + INIT/NOR fusion on a
- * single thread, and the sharded rows add shard parallelism on top of
- * the same trace replay. The 1024-crossbar row is the ISSUE 2
- * acceptance gauge: op-major replay streams the whole 128 MB array
- * through the cache once per op there, while crossbar-major keeps a
- * 128 KB crossbar hot for the entire segment.
+ * Thread scaling sweep: the canonical INIT+NOR batch (broadcast logic
+ * dominates every workload in the repo) replayed at 1, 2, 4 and 8
+ * threads. Speedups are over the inline one-thread engine; the
+ * balance column is min/max applied work across the pool's workers.
  */
 void
 engineSweep(Json *json)
 {
     if (json)
         json->beginArray("engine_sweep");
-    std::printf("\n=== Execution-engine scaling sweep (INIT+NOR "
-                "batch, 1024 rows) ===\n");
+    std::printf("\n=== Engine thread scaling sweep (INIT+NOR batch, "
+                "1024 rows) ===\n");
     std::printf("host hardware concurrency: %u\n",
                 std::thread::hardware_concurrency());
-    std::printf("%-10s %14s %24s | %7s %25s %8s\n", "crossbars",
-                "serial [Kop/s]", "trace [Kop/s] (speedup)",
-                "threads", "sharded [Kop/s] (speedup)", "balance");
+    std::printf("%-10s %7s %15s %9s %8s\n", "crossbars", "threads",
+                "rate [Kop/s]", "speedup", "balance");
     for (uint32_t crossbars : {16u, 64u, 256u, 1024u}) {
         const Geometry g = benchGeometry(crossbars);
         const std::vector<Word> batch = logicBatch(g);
-        double serialRate = 0.0;
-        {
-            Simulator sim(g);
-            serialRate = replayRate(sim, batch);
-        }
-        double traceRate = 0.0;
-        {
-            Simulator sim(g, EngineConfig::trace());
-            traceRate = replayRate(sim, batch);
-        }
         if (json) {
             json->beginObject();
             json->field("crossbars", crossbars);
-            json->field("serial_ops_per_s", serialRate);
-            json->field("trace_ops_per_s", traceRate);
-            json->field("trace_speedup", traceRate / serialRate);
-            json->beginArray("sharded");
+            json->beginArray("threads");
         }
-        bool first = true;
+        double oneThread = 0.0;
         for (uint32_t threads : {1u, 2u, 4u, 8u}) {
-            Simulator sim(g, EngineConfig::sharded(threads));
+            Simulator sim(g, EngineConfig{}.withThreads(threads));
             const double rate = replayRate(sim, batch);
+            if (threads == 1)
+                oneThread = rate;
+            uint64_t lo = UINT64_MAX, hi = 0;
+            for (const Stats &w : sim.engine().shardWork()) {
+                lo = std::min(lo, w.totalOps());
+                hi = std::max(hi, w.totalOps());
+            }
+            const double balance =
+                hi ? static_cast<double>(lo) / static_cast<double>(hi)
+                   : 0.0;
             if (json) {
                 json->beginObject();
                 json->field("threads", threads);
                 json->field("ops_per_s", rate);
-                json->field("speedup", rate / serialRate);
+                json->field("speedup", rate / oneThread);
                 json->end();
             }
-            // Shard load balance: min/max applied work across shards
-            // (1.00 = perfectly even).
-            const auto &eng =
-                static_cast<const ShardedEngine &>(sim.engine());
-            uint64_t lo = UINT64_MAX, hi = 0;
-            for (const Stats &w : eng.shardWork()) {
-                lo = std::min(lo, w.totalOps());
-                hi = std::max(hi, w.totalOps());
-            }
-            if (first)
-                std::printf("%-10u %14.2f %15.2f (%5.2fx)",
-                            crossbars, serialRate / 1e3,
-                            traceRate / 1e3,
-                            traceRate / serialRate);
-            else
-                std::printf("%-10s %14s %24s", "", "", "");
-            std::printf(" | %7u %15.2f (%5.2fx) %7.2f\n", threads,
-                        rate / 1e3, rate / serialRate,
-                        hi ? static_cast<double>(lo) /
-                                 static_cast<double>(hi)
-                           : 0.0);
-            first = false;
+            std::printf("%-10s %7u %15.2f %8.2fx %8.2f\n",
+                        threads == 1 ? std::to_string(crossbars).c_str()
+                                     : "",
+                        threads, rate / 1e3, rate / oneThread, balance);
         }
         if (json) {
-            json->end();  // sharded
+            json->end();  // threads
             json->end();  // row
         }
     }
     if (json)
         json->end();  // engine_sweep
-    std::printf("(sharded speedups require free host cores; the "
-                "trace column and the 1024-crossbar row are the "
-                "acceptance gauges for ISSUE 2)\n");
+    std::printf("(speedups require free host cores)\n");
 }
 
 /**
@@ -292,7 +246,7 @@ endToEndRate(const Geometry &g, const EngineConfig &ec,
 /**
  * Asynchronous-pipeline sweep: the ISSUE 3 acceptance gauge. The same
  * driver-bound workload (per-instruction translation, no stream
- * cache) runs through the sharded engine with the pipeline off
+ * cache) runs through the engine with the pipeline off
  * (strictly alternating translate/replay) and on (translation of
  * batch k+1 overlapped with replay of batch k on the consumer
  * thread). On a multi-core host the speedup approaches
@@ -304,7 +258,7 @@ pipelineSweep(Json *json)
 {
     const uint32_t threads = engineConfig().resolvedThreads();
     std::printf("\n=== Pipelined end-to-end sweep (driver fp-add + "
-                "replay, sharded engine, %u threads) ===\n", threads);
+                "replay, threads=%u) ===\n", threads);
     std::printf("%-10s %18s %18s %8s %10s\n", "crossbars",
                 "sync [Kop/s]", "pipelined [Kop/s]", "speedup",
                 "identical");
@@ -314,9 +268,9 @@ pipelineSweep(Json *json)
         const Geometry g = benchGeometry(crossbars);
         uint64_t ckOff = 0, ckOn = 0;
         const double off =
-            endToEndRate(g, EngineConfig::sharded(threads), ckOff);
+            endToEndRate(g, EngineConfig{}.withThreads(threads), ckOff);
         const double on = endToEndRate(
-            g, EngineConfig::sharded(threads).withPipeline(), ckOn);
+            g, EngineConfig{}.withThreads(threads).withPipeline(), ckOn);
         std::printf("%-10u %18.2f %18.2f %7.2fx %10s\n", crossbars,
                     off / 1e3, on / 1e3, on / off,
                     ckOff == ckOn ? "yes" : "NO");
@@ -603,8 +557,8 @@ storageSweep(Json *json)
             json->beginArray("max_geometry");
         for (uint32_t crossbars : {4096u, 16384u, 65536u}) {
             const Geometry g = benchGeometry(crossbars);
-            EngineConfig ec;  // serial, synchronous: the panel gauges
-            ec.storage = XbarStorage::Paged;  // bytes, not op rate
+            EngineConfig ec;  // one thread, synchronous: the panel
+            ec.storage = XbarStorage::Paged;  // gauges bytes, not rate
             Simulator sim(g, ec);
             std::vector<Word> batch;
             batch.push_back(
@@ -688,18 +642,21 @@ compiledReplayBatch(const Geometry &g, int pairs = 512)
     return ops;
 }
 
-/** Warm-cache replay rate [op/s] of one frozen trace; digests the
- *  eight destination registers into @p checksum. */
+/** Warm-cache replay rate [op/s] of one frozen trace, @p compiled or
+ *  on the segment interpreter; digests the eight destination
+ *  registers into @p checksum. */
 double
-warmReplayRate(const Geometry &g, const EngineConfig &ec,
+warmReplayRate(const Geometry &g, bool compiled,
                const std::vector<Word> &ops, uint64_t &checksum,
                double minSeconds = 0.25)
 {
-    Simulator sim(g, ec);
+    Simulator sim(g, engineConfig());
     Rng rng(23);
     fillRegister(sim, 0, rng);
     fillRegister(sim, 1, rng);
+    setTraceCompilationEnabled(compiled);
     auto trace = sim.prepareTrace(ops.data(), ops.size(), true);
+    setTraceCompilationEnabled(true);
     fatalIf(trace == nullptr,
             "compiled-replay sweep: stream must be cacheable");
     sim.submitTrace(trace);  // warm-up
@@ -719,11 +676,11 @@ warmReplayRate(const Geometry &g, const EngineConfig &ec,
 /**
  * Compiled-replay sweep: the ISSUE 8 acceptance gauge. The same
  * frozen trace replays warm through the segment interpreter
- * (--compiled-replay=off) and through the compiled ReplayProgram
- * executors, across crossbar counts, on the process-wide engine
- * selection. State checksums MUST be bit-identical — the function
- * returns false otherwise and the CI bench smoke step exits non-zero
- * on it. >=1.25x at >=256 crossbars is the acceptance gauge.
+ * (compilation switched off with setTraceCompilationEnabled) and
+ * through the compiled ReplayProgram executors, across crossbar
+ * counts, on the process-wide settings. State checksums MUST be
+ * bit-identical — the function returns false otherwise and the CI
+ * bench smoke step exits non-zero on it. >=1.25x at >=256 crossbars is the acceptance gauge.
  */
 bool
 compiledSweep(Json *json)
@@ -747,12 +704,9 @@ compiledSweep(Json *json)
         g.rows = 64;
         const std::vector<Word> ops = compiledReplayBatch(g);
         uint64_t ckInterp = 0, ckCompiled = 0;
-        const double interp = warmReplayRate(
-            g, engineConfig().withCompiledReplay(false), ops,
-            ckInterp);
-        const double compiled = warmReplayRate(
-            g, engineConfig().withCompiledReplay(true), ops,
-            ckCompiled);
+        const double interp = warmReplayRate(g, false, ops, ckInterp);
+        const double compiled =
+            warmReplayRate(g, true, ops, ckCompiled);
         const bool identical = ckInterp == ckCompiled;
         allIdentical = allIdentical && identical;
         std::printf("%-10u %20.2f %18.2f %7.2fx %10s\n", crossbars,
@@ -779,7 +733,7 @@ compiledSweep(Json *json)
 /**
  * Bulk tensor I/O sweep (the ISSUE 7 acceptance gauge): a 1 Mi-element
  * int tensor round-trips host -> device -> host through the
- * element-wise oracle (PYPIM_BULK_IO=0 semantics: one ReadInstr
+ * element-wise oracle (Driver::setBulkIoEnabled(false): one ReadInstr
  * dispatch and one pipeline drain per element on readback) and through
  * the bulk block-transfer path (64x64 bit-transpose gather/scatter
  * kernels, ONE drain per transfer). Values AND architectural Stats
@@ -807,9 +761,8 @@ ioSweep(Json *json)
     uint64_t wordsTransposed = 0, drains = 0, bulkXfers = 0;
     using clock = std::chrono::steady_clock;
     for (const bool bulk : {false, true}) {
-        EngineConfig ec = engineConfig();
-        ec.bulkIo = bulk;
-        Device dev(g, Driver::Mode::Parallel, ec);
+        Device dev(g, Driver::Mode::Parallel, engineConfig());
+        dev.driver().setBulkIoEnabled(bulk);
         const auto t0 = clock::now();
         Tensor t = Tensor::fromVector(host, &dev);
         dev.flush();
@@ -1118,7 +1071,6 @@ BENCHMARK(simScaling)
     ->Args({16, 256})
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(rawLogicOps)->Arg(4)->Arg(16)->Arg(64);
-BENCHMARK(traceLogicOps)->Arg(4)->Arg(16)->Arg(64)->Arg(1024);
 BENCHMARK(shardedLogicOps)
     ->Args({64, 1})
     ->Args({64, 2})

@@ -68,12 +68,7 @@ tableIIIGeometry()
 const char *
 engineKindName(EngineKind k)
 {
-    switch (k) {
-      case EngineKind::Serial:  return "serial";
-      case EngineKind::Sharded: return "sharded";
-      case EngineKind::Trace:   return "trace";
-      default:                  return "unknown";
-    }
+    return k == EngineKind::Sharded ? "sharded" : "unknown";
 }
 
 const char *
@@ -150,24 +145,29 @@ parseSwitchEnv(const char *name, const char *value, bool fallback)
 EngineConfig
 EngineConfig::fromEnv()
 {
+    // Oracle switches are not settings: a leftover export must fail
+    // loudly, not silently run the default instead.
+    static const char *const removed[][2] = {
+        {"PYPIM_ENGINE", "set PYPIM_THREADS=N to size the one "
+                         "crossbar-major engine"},
+        {"PYPIM_TRACE_CACHE", "the trace cache is always on; the "
+                              "uncached oracle is "
+                              "Driver::setTraceCacheEnabled"},
+        {"PYPIM_BULK_IO", "bulk I/O is always on; the element-wise "
+                          "oracle is Driver::setBulkIoEnabled"},
+        {"PYPIM_COMPILED_REPLAY",
+         "compiled replay is always on; the interpreter oracle is "
+         "setTraceCompilationEnabled"},
+    };
+    for (const auto &r : removed)
+        fatalIf(std::getenv(r[0]) != nullptr, [&] {
+            return std::string(r[0]) + " was removed: " + r[1];
+        });
     EngineConfig c;
-    if (const char *e = std::getenv("PYPIM_ENGINE")) {
-        const std::string s(e);
-        if (s == "sharded")
-            c.kind = EngineKind::Sharded;
-        else if (s == "trace")
-            c.kind = EngineKind::Trace;
-        else if (!s.empty() && s != "serial")
-            fatal("PYPIM_ENGINE: unknown engine '" + s +
-                  "' (expected serial|sharded|trace)");
-    }
     if (const char *t = std::getenv("PYPIM_THREADS"))
         c.threads = parseCountEnv("PYPIM_THREADS", t, 0, 1u << 20);
     if (const char *p = std::getenv("PYPIM_PIPELINE"))
         c.pipeline = parseSwitchEnv("PYPIM_PIPELINE", p, c.pipeline);
-    if (const char *tc = std::getenv("PYPIM_TRACE_CACHE"))
-        c.traceCache =
-            parseSwitchEnv("PYPIM_TRACE_CACHE", tc, c.traceCache);
     if (const char *d = std::getenv("PYPIM_DEVICES")) {
         c.devices = parseCountEnv("PYPIM_DEVICES", d, 1, 1u << 16);
         fatalIf(!isPow2(c.devices),
@@ -187,11 +187,6 @@ EngineConfig::fromEnv()
             fatal("PYPIM_XBAR_STORAGE: unknown value '" + s +
                   "' (expected dense|paged)");
     }
-    if (const char *b = std::getenv("PYPIM_BULK_IO"))
-        c.bulkIo = parseSwitchEnv("PYPIM_BULK_IO", b, c.bulkIo);
-    if (const char *cr = std::getenv("PYPIM_COMPILED_REPLAY"))
-        c.compiledReplay = parseSwitchEnv("PYPIM_COMPILED_REPLAY", cr,
-                                          c.compiledReplay);
     // Validated by FaultSpec::parse at device-group construction, so
     // the error names the bad key/value rather than the variable.
     if (const char *f = std::getenv("PYPIM_FAULTS"))

@@ -9,6 +9,11 @@
  * counts of broadcast operations are independent of the crossbar
  * count, so throughput is reported via the paper's Eq. (1) using a
  * configurable "deployment parallelism".
+ *
+ * Also the simulator's deployment settings (EngineConfig): host
+ * threads, pipelining, sub-device count and transport, crossbar
+ * storage, fault injection and state verification — each settable in
+ * code or through a PYPIM_* environment variable.
  */
 #ifndef PYPIM_COMMON_CONFIG_HPP
 #define PYPIM_COMMON_CONFIG_HPP
@@ -91,24 +96,14 @@ Geometry tableIIIGeometry();
 Geometry testGeometry();
 
 /**
- * Execution-engine backend of the simulator (sim/engine.hpp).
- *
- * All engines are bit-accurate and produce identical crossbar state
- * and statistics; they differ only in how the host simulates the
- * broadcast: Serial replays every micro-op over all mask-selected
- * crossbars on the calling thread (op-major; the reference oracle),
- * Trace decodes each barrier-free segment once and replays it
- * crossbar-major on the calling thread (one crossbar's state stays
- * hot in cache for the whole segment), and Sharded partitions the
- * crossbars across a persistent worker pool and replays segment
- * traces crossbar-major within each shard (serialising only at
- * cross-crossbar ops).
+ * Execution engine of the simulator (sim/engine.hpp). One remains:
+ * crossbar-major replay sharded over EngineConfig::threads host
+ * threads. The enum survives as a constant so configuration records
+ * keep naming it.
  */
 enum class EngineKind : uint8_t
 {
-    Serial = 0,
-    Sharded,
-    Trace
+    Sharded = 0
 };
 
 const char *engineKindName(EngineKind k);
@@ -157,12 +152,34 @@ enum class TransportKind : uint8_t
 
 const char *transportKindName(TransportKind t);
 
-/** Simulator execution-engine selection knob. */
+/**
+ * Deployment settings of a simulated device: host threads, pipeline,
+ * sub-device count and transport, storage, fault injection and state
+ * verification. The engine, the trace cache, bulk I/O and compiled
+ * replay are not settings; they are constants below, always on.
+ * Tests reach their oracles through Driver::setTraceCacheEnabled,
+ * Driver::setBulkIoEnabled, setTraceCompilationEnabled
+ * (sim/replay_program.hpp) and the reference-engine seam of
+ * sim/engine.hpp.
+ */
 struct EngineConfig
 {
-    EngineKind kind = EngineKind::Serial;
-    /** Worker threads for Sharded (0 = hardware concurrency). */
-    uint32_t threads = 0;
+    /** The one execution engine. */
+    static constexpr EngineKind kind = EngineKind::Sharded;
+    /** Driver trace cache (sim/batch_trace.hpp): always on. */
+    static constexpr bool traceCache = true;
+    /** Bulk block-transfer host I/O (sim/bulk_io.hpp): always on. */
+    static constexpr bool bulkIo = true;
+    /** Frozen traces lower into compiled ReplayPrograms
+     *  (sim/replay_program.hpp): always on. */
+    static constexpr bool compiledReplay = true;
+
+    /**
+     * Host threads replaying each logical device's crossbars (0 =
+     * hardware concurrency). 1, the default, replays inline on the
+     * calling thread with no pool worker.
+     */
+    uint32_t threads = 1;
     /**
      * Asynchronous pipelined execution (sim/pipeline.hpp): submitted
      * batches are decoded into segment traces on the caller thread and
@@ -173,30 +190,19 @@ struct EngineConfig
      */
     bool pipeline = false;
     /**
-     * Driver-level trace cache (sim/batch_trace.hpp): on a stream-
-     * cache hit the driver submits a shared pre-built, fusion-
-     * optimised BatchTrace instead of re-translating the memoised
-     * micro-op stream — decode and optimise once per instruction
-     * signature, replay forever. On by default; Device forwards the
-     * flag to its Driver. Fused+cached replay is bit-identical to
-     * fresh translation on every engine (test_engine_parity,
-     * test_trace_fusion).
-     */
-    bool traceCache = true;
-    /**
      * Number of sub-devices one logical Device shards its crossbar
      * space across (sim/device_group.hpp): the crossbar array is cut
      * into equal contiguous slices at 4-ary H-tree group boundaries
      * and each slice is simulated by an independent Simulator with its
      * own engine (and pipeline queue when enabled). Must be a power of
      * two; clamped to the geometry's crossbar count at construction.
-     * 1 (the default) is the classic monolithic device. The sharded
-     * engine's thread budget (@ref threads) applies to the LOGICAL
-     * device and is divided across the sub-device pools.
+     * 1 (the default) is the classic monolithic device. The thread
+     * budget (@ref threads) applies to the LOGICAL device and is
+     * divided across the sub-device pools.
      */
     uint32_t devices = 1;
     /**
-     * Pin the sharded engine's pool workers to distinct host cores
+     * Pin the engine's pool workers to distinct host cores
      * (pthread_setaffinity_np; silently a no-op on platforms without
      * it). Off by default — pinning helps steady-state NUMA locality
      * but hurts on oversubscribed hosts.
@@ -212,32 +218,6 @@ struct EngineConfig
      * test_geometry_sweep storage parity).
      */
     XbarStorage storage = XbarStorage::Paged;
-    /**
-     * Bulk host I/O (sim/bulk_io.hpp): tensor readback/upload moves
-     * whole row blocks through the crossbars' 64x64 bit-transpose
-     * gather/scatter kernels with ONE pipeline drain per transfer,
-     * instead of one ReadInstr/WriteInstr dispatch (and one drain)
-     * per element. On by default; Device forwards the flag to its
-     * Driver. The element-wise path stays the parity oracle: both
-     * paths produce bit-identical values AND bit-identical
-     * architectural Stats (test_bulk_io).
-     */
-    bool bulkIo = true;
-    /**
-     * Compiled trace replay (sim/replay_program.hpp): when a
-     * BatchTrace is frozen into the trace cache, each segment is
-     * additionally lowered into a flat ReplayProgram — row-mask
-     * handles resolved to arena offsets, consecutive LogicH ops under
-     * one mask merged into multi-section passes, stripes and LogicV
-     * runs pre-chunked, per-crossbar Stats charges precomputed — and
-     * replay dispatches into storage- and mask-specialized executors
-     * instead of the per-op interpreter. On by default; the
-     * interpreter stays live as the parity oracle (and serves the
-     * uncached one-shot pipeline path either way). Bit-identical
-     * state and architectural Stats on both settings
-     * (test_replay_program).
-     */
-    bool compiledReplay = true;
     /**
      * Deterministic fault injection (sim/fault.hpp): a colon-
      * separated "key=value" spec, e.g. "seed=7:flip=25:stuck=2:
@@ -267,22 +247,12 @@ struct EngineConfig
      */
     TransportKind transport = TransportKind::Inproc;
 
-    static EngineConfig serial() { return {}; }
-
-    static EngineConfig
-    sharded(uint32_t threads = 0)
+    /** Copy of this config replaying on @p n host threads. */
+    EngineConfig
+    withThreads(uint32_t n) const
     {
-        EngineConfig c;
-        c.kind = EngineKind::Sharded;
-        c.threads = threads;
-        return c;
-    }
-
-    static EngineConfig
-    trace()
-    {
-        EngineConfig c;
-        c.kind = EngineKind::Trace;
+        EngineConfig c = *this;
+        c.threads = n;
         return c;
     }
 
@@ -310,15 +280,6 @@ struct EngineConfig
     {
         EngineConfig c = *this;
         c.storage = s;
-        return c;
-    }
-
-    /** Copy of this config with compiled trace replay toggled. */
-    EngineConfig
-    withCompiledReplay(bool on) const
-    {
-        EngineConfig c = *this;
-        c.compiledReplay = on;
         return c;
     }
 
@@ -350,19 +311,17 @@ struct EngineConfig
     }
 
     /**
-     * Engine selection from the environment: PYPIM_ENGINE=serial|
-     * sharded|trace, PYPIM_THREADS=N, PYPIM_PIPELINE=on|off,
-     * PYPIM_TRACE_CACHE=on|off|1|0, PYPIM_DEVICES=N (power of two),
+     * Settings from the environment: PYPIM_THREADS=N,
+     * PYPIM_PIPELINE=on|off, PYPIM_DEVICES=N (power of two),
      * PYPIM_AFFINITY=on|off, PYPIM_XBAR_STORAGE=dense|paged,
-     * PYPIM_BULK_IO=on|off|1|0, PYPIM_COMPILED_REPLAY=on|off|1|0,
      * PYPIM_FAULTS=<spec>, PYPIM_VERIFY_STATE=on|off|1|0 and
      * PYPIM_TRANSPORT=inproc|socket (worker count via PYPIM_DEVICES).
-     * Unset values fall back to the defaults (serial, synchronous,
-     * trace cache on, one device, no pinning, paged storage, inproc
-     * transport), so
-     * existing callers are unaffected; unrecognised or malformed
-     * values throw pypim::Error — a typo must never silently
-     * misconfigure the stack.
+     * Unset values fall back to the defaults (one thread,
+     * synchronous, one device, no pinning, paged storage, inproc
+     * transport). Unrecognised or malformed values throw pypim::Error
+     * — a typo must never silently misconfigure the stack — and so
+     * do the removed PYPIM_ENGINE, PYPIM_TRACE_CACHE, PYPIM_BULK_IO
+     * and PYPIM_COMPILED_REPLAY, naming what replaces them.
      */
     static EngineConfig fromEnv();
 

@@ -140,7 +140,7 @@ class Driver
      * Bulk register upload: the write mirror of readBulk. Never
      * fails: when the bulk path is unavailable it EMITS the same
      * canonical coalesced run stream through the builder in one
-     * submitted batch (the PYPIM_BULK_IO=0 fallback — still far
+     * submitted batch (the setBulkIoEnabled(false) fallback — still far
      * cheaper than per-element WriteInstr dispatch). Runs of equal
      * consecutive values coalesce into one masked Range write
      * (zeros/full cost O(runs), matching the constant-fill

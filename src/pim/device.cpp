@@ -13,8 +13,6 @@ Device::Device(const Geometry &geo, Driver::Mode mode,
       drv_(recovery_, geo_, mode),
       mm_(geo_, group_.devices())
 {
-    drv_.setTraceCacheEnabled(ec.traceCache);
-    drv_.setBulkIoEnabled(ec.bulkIo);
 }
 
 void

@@ -11,6 +11,13 @@
  * traffic. One sub-device (the default) is the classic monolithic
  * simulator; results, readback and architectural statistics are
  * bit-identical at any device count (tests/test_multi_device.cpp).
+ *
+ * EngineConfig carries only deployment settings (threads, pipeline,
+ * devices, transport, storage, faults, verification). The trace cache
+ * and bulk I/O are always on; tests reach their oracles on a live
+ * device through driver().setTraceCacheEnabled(false) (fresh
+ * translation of every instruction) and
+ * driver().setBulkIoEnabled(false) (one Read/Write per element).
  */
 #ifndef PYPIM_PIM_DEVICE_HPP
 #define PYPIM_PIM_DEVICE_HPP
@@ -36,13 +43,10 @@ class Device
      * Create a device with its own simulator instance(s).
      * @param geo memory geometry (validated)
      * @param mode driver arithmetic mode (paper Fig. 4)
-     * @param ec simulator execution backend; the default honours the
-     *           PYPIM_ENGINE / PYPIM_THREADS / PYPIM_PIPELINE /
-     *           PYPIM_TRACE_CACHE / PYPIM_DEVICES / PYPIM_AFFINITY /
-     *           PYPIM_XBAR_STORAGE environment knobs and falls back
-     *           to one synchronous
-     *           serial sub-device with the driver trace cache enabled
-     *           (ec.traceCache is forwarded to the Driver)
+     * @param ec deployment settings; the default honours the
+     *           PYPIM_* environment variables of
+     *           EngineConfig::fromEnv and falls back to one
+     *           synchronous single-threaded sub-device
      */
     explicit Device(const Geometry &geo,
                     Driver::Mode mode = Driver::Mode::Parallel,

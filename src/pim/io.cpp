@@ -16,7 +16,8 @@
  * gather/scatter kernels, sim/bulk_io.hpp): ONE pipeline drain per
  * transfer instead of one per element, with values and architectural
  * Stats bit-identical to the element loop kept below as the fallback
- * oracle (PYPIM_BULK_IO=0, or a sink without bulk support).
+ * oracle (Driver::setBulkIoEnabled(false), or a sink without bulk
+ * support).
  */
 #include "pim/tensor.hpp"
 

@@ -36,7 +36,7 @@
  *    end. Mask comparisons are exact Range equality — the
  *    GateBuilder's dedup rule.
  *  - WRITES replicate the canonical coalesced stream that the
- *    PYPIM_BULK_IO=0 fallback actually emits: maximal runs of
+ *    setBulkIoEnabled(false) fallback emits: maximal runs of
  *    consecutive same-warp equal-value elements become one
  *    setMasks+Write (runs of length 1 — the general case of distinct
  *    values — degenerate to exactly the historical per-element
@@ -105,8 +105,8 @@ struct BulkWriteRun
  * Enumerate the canonical write runs of @p spec over @p values in
  * element order: maximal runs of consecutive elements sharing one
  * warp and one value. Shared by the stats planner, the
- * PYPIM_BULK_IO=0 emission fallback and nothing else — one source of
- * truth, so the two knob settings can never drift.
+ * setBulkIoEnabled(false) emission fallback and nothing else — one
+ * source of truth, so the two paths can never drift.
  */
 template <typename Fn>
 void

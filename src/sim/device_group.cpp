@@ -31,12 +31,12 @@ SimulatorGroup::SimulatorGroup(const Geometry &geo,
     // sub-device), not abort the suite.
     n = std::min(n, geo_.numCrossbars);
     perDevice_ = geo_.numCrossbars / n;
-    // The sharded engine's thread budget is per LOGICAL device:
+    // The engine's thread budget is per LOGICAL device:
     // divide it across the sub-device pools so devices=N never
     // oversubscribes the host N-fold (each pool further clamps to
     // its slice size).
     EngineConfig sub = ec;
-    if (ec.kind == EngineKind::Sharded && n > 1)
+    if (n > 1)
         sub.threads = std::max(1u, ec.resolvedThreads() / n);
     devices_ = n;
 
@@ -50,7 +50,6 @@ SimulatorGroup::SimulatorGroup(const Geometry &geo,
         // per-sub-device wiring below for its own Simulator); the host
         // keeps a trace-build mirror and the power-on shadow mask.
         htree_ = std::make_unique<HTree>(geo_.numCrossbars);
-        remoteCompiled_ = sub.compiledReplay;
         shadowXb_ = Range::all(geo_.numCrossbars);
         transport_ =
             std::make_unique<SocketTransport>(geo_, sub, n, perDevice_);
@@ -179,8 +178,9 @@ void
 SimulatorGroup::exchangeMove(Word w, const MicroOp &op,
                              const Range &xb)
 {
-    // Same validation (and failure point) as the engines' doMove: an
-    // invalid Move throws here, before any crossbar is touched by it.
+    // Same validation (and failure point) as the engine's Move
+    // barrier: an invalid Move throws here, before any crossbar is
+    // touched by it.
     const int64_t dist = validateMove(op, xb, geo_);
 
     if (remote()) {
@@ -413,8 +413,7 @@ SimulatorGroup::prepareTrace(const Word *ops, size_t n, bool fuse)
     // mirror and stamped with its wire identity, so submitTrace can
     // install it once per worker and replay by signature thereafter.
     if (remote())
-        return buildWireTrace(ops, n, fuse, remoteCompiled_, geo_,
-                              *htree_);
+        return buildWireTrace(ops, n, fuse, geo_, *htree_);
     // Building touches no simulated state, and the handle is bound to
     // the (shared) geometry, not a slice: build once via sub-device 0.
     return sims_[0]->prepareTrace(ops, n, fuse);

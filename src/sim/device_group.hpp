@@ -55,7 +55,7 @@
  * is a robustness guard, not a hot path).
  *
  * Error streams: a malformed op throws at the submit containing it,
- * after the valid prefix was forwarded (the serial engine's
+ * after the valid prefix was forwarded (the op-major reference's
  * semantics). Sub-devices not yet fed when the first one throws may
  * diverge from that point on — error recovery across shards is
  * explicitly out of scope, as it is for the engines.
@@ -370,9 +370,6 @@ class SimulatorGroup : public OperationSink
     mutable std::unique_ptr<SocketTransport> transport_;
     /** Host-side trace-build mirror for prepareTrace (socket mode). */
     std::unique_ptr<HTree> htree_;
-    /** Lower wire traces into compiled replay programs at freeze
-     *  (EngineConfig::compiledReplay; socket mode). */
-    bool remoteCompiled_ = true;
     /** Host shadow of the replicated crossbar mask (socket mode):
      *  seeds the Move scan and the performRead owner. Best-effort on
      *  error streams, like the sub-device state itself. */

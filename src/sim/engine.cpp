@@ -6,58 +6,85 @@
 #include "common/error.hpp"
 #include "sim/batch_trace.hpp"
 #include "sim/bulk_io.hpp"
-#include "sim/serial_engine.hpp"
-#include "sim/sharded_engine.hpp"
-#include "sim/trace_engine.hpp"
-#include "uarch/partition.hpp"
+#include "sim/replay_program.hpp"
 
 namespace pypim
 {
 
+namespace
+{
+
+/** More workers than OWNED crossbars can never help: a sub-device
+ *  engine shards only its slice. */
+uint32_t
+clampWorkers(uint32_t threads, size_t owned)
+{
+    return std::min(std::max(1u, threads),
+                    std::max(1u, static_cast<uint32_t>(owned)));
+}
+
+/** Stagger sibling sub-device pools onto disjoint cores: sub-device
+ *  d (slice index xbBase / sliceSize) starts after the d * width
+ *  cores of the pools before it. 0 for a monolithic engine. */
+uint32_t
+pinBaseOf(uint32_t xbBase, size_t owned, uint32_t width)
+{
+    return owned == 0
+               ? 0
+               : xbBase / static_cast<uint32_t>(owned) * width;
+}
+
+std::atomic<EngineFactory> testEngineFactory{nullptr};
+
+} // namespace
+
+ExecutionEngine::ExecutionEngine(const Geometry &geo,
+                                 std::vector<Crossbar> &xbs,
+                                 uint32_t xbBase, const HTree &htree,
+                                 MaskState &mask, Stats &stats,
+                                 uint32_t threads, bool pinWorkers)
+    : geo_(geo), xbs_(xbs), xbBase_(xbBase), htree_(htree),
+      mask_(mask), stats_(stats),
+      pool_(clampWorkers(threads, xbs.size()), pinWorkers,
+            pinBaseOf(xbBase, xbs.size(),
+                      clampWorkers(threads, xbs.size()))),
+      work_(pool_.size())
+{
+}
+
 void
 ExecutionEngine::serialPerform(const MicroOp &op)
 {
-    switch (op.type) {
-      case OpType::CrossbarMask:
-        doCrossbarMask(op);
-        break;
-      case OpType::RowMask:
-        doRowMask(op);
-        break;
-      case OpType::Read:
-        // A read issued through the data-less path: execute it for its
-        // cycle cost and drop the response.
+    if (op.type == OpType::Read) {
+        // A read issued through the data-less path: execute it for
+        // its cycle cost and drop the response.
         executeRead(op);
         return;
-      case OpType::Write:
-        doWrite(op);
-        break;
-      case OpType::LogicH:
-        doLogicH(op);
-        break;
-      case OpType::LogicV:
-        doLogicV(op);
-        break;
-      case OpType::Move:
-        doMove(op);
-        break;
     }
+    panicIf(op.type != OpType::Move,
+            "serialPerform: not a barrier op");
+    const int64_t dist = validateMove(op, mask_.xb, geo_);
+    applyMove(op, mask_.xb);
+    stats_.record(OpClass::Move, htree_.moveCycles(mask_.xb, dist));
 }
 
 void
-ExecutionEngine::doCrossbarMask(const MicroOp &op)
+ExecutionEngine::execute(const Word *ops, size_t n)
 {
-    op.range.validate(geo_.numCrossbars, "crossbar");
-    mask_.xb = op.range;
-    stats_.record(OpClass::CrossbarMask);
-}
-
-void
-ExecutionEngine::doRowMask(const MicroOp &op)
-{
-    op.range.validate(geo_.rows, "row");
-    mask_.setRow(op.range, geo_.rows);
-    stats_.record(OpClass::RowMask);
+    size_t i = 0;
+    while (i < n) {
+        if (isBarrierOp(enc::peekType(ops[i]))) {
+            serialPerform(MicroOp::decode(ops[i]));
+            ++i;
+            continue;
+        }
+        size_t j = i + 1;
+        while (j < n && !isBarrierOp(enc::peekType(ops[j])))
+            ++j;
+        buildSegmentTrace(ops + i, j - i, geo_, mask_, stats_, trace_);
+        replayTrace(trace_);
+        i = j;
+    }
 }
 
 void
@@ -182,22 +209,68 @@ ExecutionEngine::applyWriteBulk(const BulkIoSpec &spec,
     return transposed;
 }
 
+template <typename Fn>
+void
+ExecutionEngine::replayHull(uint32_t lo, uint32_t hi, Fn &&fn)
+{
+    lo = std::max(lo, sliceLo());
+    hi = std::min(hi, sliceHi());
+    if (lo >= hi)
+        return;  // hull entirely outside this sub-device's slice
+    const uint32_t workers = pool_.size();
+    if (workers == 1 || hi - lo <= 1) {
+        for (uint32_t xb = lo; xb < hi; ++xb)
+            fn(xbAt(xb), xb, &work_[0]);
+        return;
+    }
+    // Work-stealing schedule over the crossbar hull: chunks are
+    // claimed from a shared atomic counter instead of fixed contiguous
+    // per-worker blocks, so a strided crossbar mask (which leaves some
+    // blocks mostly masked-out) cannot load-imbalance the workers. The
+    // chunk is kept a few crossbars wide: small enough that expensive
+    // crossbars spread over the pool, large enough to amortise the
+    // atomic claim and preserve block locality.
+    const uint32_t chunk = std::max(1u, (hi - lo) / (workers * 8));
+    next_.store(lo, std::memory_order_relaxed);
+    pool_.parallelFor(workers, [&](uint32_t w) {
+        // Accumulate the applied-work diagnostics on the stack and
+        // flush once per hull: work_ entries are adjacent in memory,
+        // and per-application increments there would ping-pong cache
+        // lines between workers.
+        Stats local;
+        for (;;) {
+            const uint32_t start =
+                next_.fetch_add(chunk, std::memory_order_relaxed);
+            if (start >= hi)
+                break;
+            const uint32_t end = std::min(start + chunk, hi);
+            for (uint32_t xb = start; xb < end; ++xb)
+                fn(xbAt(xb), xb, &local);
+        }
+        work_[w] += local;
+    });
+}
+
 void
 ExecutionEngine::replayTrace(const SegmentTrace &trace)
 {
-    const uint32_t lo = std::max(trace.xbLo, sliceLo());
-    const uint32_t hi = std::min(trace.xbHi, sliceHi());
-    for (uint32_t xb = lo; xb < hi; ++xb)
-        xbAt(xb).replaySegment(trace, xb, nullptr);
+    if (trace.empty())
+        return;  // mask-only segment: fully absorbed by the pre-pass
+    replayHull(trace.xbLo, trace.xbHi,
+               [&](Crossbar &x, uint32_t xb, Stats *work) {
+                   x.replaySegment(trace, xb, work);
+               });
 }
 
 void
 ExecutionEngine::replayProgram(const ReplayProgram &prog)
 {
-    const uint32_t lo = std::max(prog.xbLo, sliceLo());
-    const uint32_t hi = std::min(prog.xbHi, sliceHi());
-    for (uint32_t xb = lo; xb < hi; ++xb)
-        xbAt(xb).replayProgram(prog, xb, nullptr);
+    if (prog.empty())
+        return;
+    replayHull(prog.xbLo, prog.xbHi,
+               [&](Crossbar &x, uint32_t xb, Stats *work) {
+                   x.replayProgram(prog, xb, work);
+               });
 }
 
 void
@@ -213,54 +286,6 @@ ExecutionEngine::replayBatch(const BatchTrace &batch)
             applyMove(item.op, item.xb);
         }
     }
-}
-
-void
-ExecutionEngine::doWrite(const MicroOp &op)
-{
-    fatalIf(op.index >= geo_.slots(), "write: slot index out of range");
-    forEachOwned(mask_.xb, [&](uint32_t xb) {
-        xbAt(xb).write(op.index, op.value, mask_.rowWords);
-    });
-    stats_.record(OpClass::Write);
-}
-
-void
-ExecutionEngine::doLogicH(const MicroOp &op)
-{
-    const HalfGates hg = expandLogicH(op, geo_);
-    forEachOwned(mask_.xb, [&](uint32_t xb) {
-        xbAt(xb).logicH(hg, mask_.rowWords);
-    });
-    stats_.record(OpClass::LogicH);
-    if (op.gate == Gate::Nor || op.gate == Gate::Not)
-        ++stats_.logicGates;
-    else
-        ++stats_.logicInits;
-}
-
-void
-ExecutionEngine::doLogicV(const MicroOp &op)
-{
-    fatalIf(op.index >= geo_.slots(), "logicV: slot index out of range");
-    fatalIf(op.rowIn >= geo_.rows || op.rowOut >= geo_.rows,
-            "logicV: row out of range");
-    forEachOwned(mask_.xb, [&](uint32_t xb) {
-        xbAt(xb).logicV(op.gate, op.rowIn, op.rowOut, op.index);
-    });
-    stats_.record(OpClass::LogicV);
-    if (op.gate == Gate::Not)
-        ++stats_.logicGates;
-    else
-        ++stats_.logicInits;
-}
-
-void
-ExecutionEngine::doMove(const MicroOp &op)
-{
-    const int64_t dist = validateMove(op, mask_.xb, geo_);
-    applyMove(op, mask_.xb);
-    stats_.record(OpClass::Move, htree_.moveCycles(mask_.xb, dist));
 }
 
 void
@@ -295,19 +320,17 @@ makeEngine(const EngineConfig &cfg, const Geometry &geo,
            std::vector<Crossbar> &xbs, uint32_t xbBase,
            const HTree &htree, MaskState &mask, Stats &stats)
 {
-    switch (cfg.kind) {
-      case EngineKind::Sharded:
-        return std::make_unique<ShardedEngine>(
-            geo, xbs, xbBase, htree, mask, stats,
-            cfg.resolvedThreads(), cfg.affinity);
-      case EngineKind::Trace:
-        return std::make_unique<TraceEngine>(geo, xbs, xbBase, htree,
-                                             mask, stats);
-      case EngineKind::Serial:
-      default:
-        return std::make_unique<SerialEngine>(geo, xbs, xbBase, htree,
-                                              mask, stats);
-    }
+    if (const EngineFactory f = testEngineFactory.load())
+        return f(cfg, geo, xbs, xbBase, htree, mask, stats);
+    return std::make_unique<ExecutionEngine>(
+        geo, xbs, xbBase, htree, mask, stats, cfg.resolvedThreads(),
+        cfg.affinity);
+}
+
+void
+setEngineFactoryForTesting(EngineFactory f)
+{
+    testEngineFactory.store(f);
 }
 
 } // namespace pypim

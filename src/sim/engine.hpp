@@ -1,36 +1,50 @@
 /**
  * @file
- * Pluggable micro-op execution engines for the simulator.
+ * The simulator's micro-op execution engine.
  *
  * The simulator's job splits cleanly in two: *what* a micro-op does to
  * the crossbar state (bit-accurate semantics, paper §III) and *how*
- * the host machine replays it over the simulated memory. ExecutionEngine
- * captures the "how" behind a narrow seam so the semantics are written
- * once (in this base class) and backends only choose a replay strategy:
+ * the host machine replays it over the simulated memory. The engine
+ * is the "how". It rests on the structural fact the paper's simulator
+ * exploits (§VI): crossbars are independent between the
+ * cross-crossbar ops (Read and the H-tree Move), which serialise.
  *
- *  - SerialEngine (serial_engine.hpp): the reference backend; every op
- *    is applied to all mask-selected crossbars on the calling thread,
- *    op-major.
- *  - TraceEngine (trace_engine.hpp): decodes each barrier-free segment
- *    once into a SegmentTrace (sim/segment_trace.hpp) and replays it
- *    crossbar-major on the calling thread, keeping one crossbar's
- *    state hot in cache for the whole segment.
- *  - ShardedEngine (sharded_engine.hpp): partitions the crossbars into
- *    per-worker shards and replays segment traces crossbar-major
- *    within each shard on a persistent thread pool — the host-side
- *    analogue of the paper's observation (§VI) that crossbars are
- *    independent between the cross-crossbar ops (Read, H-tree Move),
- *    which serialise.
+ *  1. A batch splits into SEGMENTS at each Move/Read op.
+ *  2. Each segment is decoded exactly once into a SegmentTrace by the
+ *     shared pre-pass (sim/segment_trace.hpp): decoded ops with
+ *     pre-expanded LogicH half-gates, mask ops absorbed into per-op
+ *     crossbar-mask and row-mask snapshots, INIT+gate pairs fused.
+ *     The pre-pass validates every op, records the architectural
+ *     statistics and advances the authoritative mask state; it
+ *     touches no crossbar.
+ *  3. The trace replays CROSSBAR-MAJOR: each crossbar's entire
+ *     segment is applied while its state is hot in cache
+ *     (Crossbar::replaySegment, or Crossbar::replayProgram for the
+ *     compiled programs of frozen cached traces). With threads > 1
+ *     the segment's crossbar hull is carved into small chunks claimed
+ *     from a shared atomic counter by a persistent pool, so a strided
+ *     crossbar mask still load-balances. With one thread (the
+ *     default) the pool spawns no worker and replay runs inline.
+ *  4. Move/Read ops form a barrier and run on the calling thread.
  *
- * Engines operate on state OWNED BY the Simulator (crossbars, H-tree,
- * in-stream mask state, stats), so engines can be swapped at runtime
- * without losing memory contents, and all engines are guaranteed
- * bit-identical by the parity test suite (tests/test_engine_parity.cpp).
+ * The engine operates on state OWNED BY the Simulator (crossbars,
+ * H-tree, in-stream mask state, stats), so it can be swapped at
+ * runtime without losing memory contents. Its oracle is the op-major
+ * reference interpreter of tests/reference_engine.hpp, installed
+ * through setEngineFactoryForTesting; the parity suites
+ * (tests/test_engine_parity.cpp and others) hold the engine to it
+ * bit for bit, in crossbar state and architectural Stats, at every
+ * thread count.
+ *
+ * Error streams: the pre-pass rejects a bad op BEFORE its segment
+ * touches any crossbar, whereas the op-major reference applies the
+ * prefix first.
  */
 #ifndef PYPIM_SIM_ENGINE_HPP
 #define PYPIM_SIM_ENGINE_HPP
 
 #include <algorithm>
+#include <atomic>
 #include <memory>
 #include <vector>
 
@@ -39,6 +53,7 @@
 #include "sim/crossbar.hpp"
 #include "sim/htree.hpp"
 #include "sim/segment_trace.hpp"
+#include "sim/thread_pool.hpp"
 #include "uarch/microop.hpp"
 
 namespace pypim
@@ -49,9 +64,10 @@ struct BulkIoSpec;
 struct ReplayProgram;
 
 /**
- * One micro-op replay backend. Owns no simulated state; executes
- * encoded micro-op batches against the Simulator's crossbars, mask
- * state and statistics counters (all passed in by reference).
+ * The crossbar-major execution engine. Owns no simulated state;
+ * executes encoded micro-op batches against the Simulator's
+ * crossbars, mask state and statistics counters (all passed in by
+ * reference).
  *
  * Crossbar slices: @p xbs may hold only a contiguous SLICE of the
  * geometry's crossbar space — xbs[0] is global crossbar @p xbBase —
@@ -68,37 +84,39 @@ struct ReplayProgram;
 class ExecutionEngine
 {
   public:
+    /**
+     * @p threads is the replay parallelism (clamped to [1, owned
+     * crossbars]); @p pinWorkers pins the spawned pool workers to
+     * distinct host cores (EngineConfig::affinity), a no-op on
+     * platforms without thread-affinity support.
+     */
     ExecutionEngine(const Geometry &geo, std::vector<Crossbar> &xbs,
                     uint32_t xbBase, const HTree &htree,
-                    MaskState &mask, Stats &stats)
-        : geo_(geo), xbs_(xbs), xbBase_(xbBase), htree_(htree),
-          mask_(mask), stats_(stats)
-    {
-    }
+                    MaskState &mask, Stats &stats, uint32_t threads,
+                    bool pinWorkers = false);
 
     virtual ~ExecutionEngine() = default;
 
     ExecutionEngine(const ExecutionEngine &) = delete;
     ExecutionEngine &operator=(const ExecutionEngine &) = delete;
 
-    /** Backend name ("serial", "sharded", "trace") for reporting. */
-    virtual const char *name() const = 0;
-
-    /** Host threads participating in execution (1 for serial). */
-    virtual uint32_t threads() const { return 1; }
-
-    /** Execute @p n encoded micro-operations in order. */
-    virtual void execute(const Word *ops, size_t n) = 0;
+    /** Host threads participating in replay. */
+    uint32_t threads() const { return pool_.size(); }
 
     /**
-     * Replay one pre-built segment trace over the crossbar array.
+     * Execute @p n encoded micro-operations in order. Virtual only so
+     * the test reference interpreter can replace it.
+     */
+    virtual void execute(const Word *ops, size_t n);
+
+    /**
+     * Replay one pre-built segment trace over the owned crossbars.
      * This is the hand-off entry the pipelined path (sim/pipeline.hpp)
      * feeds: the trace was already validated and recorded in the
      * architectural stats by the pre-pass, so the engine only applies
-     * state changes. The default replays crossbar-major inline on the
-     * calling thread; ShardedEngine fans the hull out over its pool.
+     * state changes.
      */
-    virtual void replayTrace(const SegmentTrace &trace);
+    void replayTrace(const SegmentTrace &trace);
 
     /**
      * Replay one compiled replay program (sim/replay_program.hpp) —
@@ -107,18 +125,16 @@ class ExecutionEngine
      * per-crossbar work is Crossbar::replayProgram, whose executor is
      * specialized over storage mode and mask shape.
      */
-    virtual void replayProgram(const ReplayProgram &prog);
+    void replayProgram(const ReplayProgram &prog);
 
     /**
      * Replay one pre-built batch in stream order: Moves via applyMove,
      * segments via replayProgram when the batch carries a compiled
-     * program for them (frozen cache entries built with
-     * EngineConfig::compiledReplay) and via the replayTrace
-     * interpreter otherwise (one-shot pipeline arenas, or the knob
-     * off). Shared by the pipelined consumer and the synchronous
-     * trace-cache hit path — either way the batch was validated and
-     * its stats recorded at build time, so this is pure state
-     * application on any backend.
+     * program for them (frozen cache entries) and via the replayTrace
+     * interpreter otherwise (one-shot pipeline arenas). Shared by the
+     * pipelined consumer and the synchronous trace-cache hit path —
+     * either way the batch was validated and its stats recorded at
+     * build time, so this is pure state application.
      */
     void replayBatch(const BatchTrace &batch);
 
@@ -132,8 +148,7 @@ class ExecutionEngine
 
     /**
      * Execute a Read micro-op and return the N-bit response. Reads
-     * address exactly one (crossbar, row) and are inherently serial,
-     * so all backends share this implementation.
+     * address exactly one (crossbar, row) and are inherently serial.
      */
     uint32_t executeRead(const MicroOp &op);
 
@@ -145,8 +160,8 @@ class ExecutionEngine
      * untouched — on a sharded device every sub-device fills its
      * disjoint share of the common host buffer. Stats were applied by
      * the caller (the spec carries the pre-planned delta). Returns
-     * 64-bit words transposed. Shared by all backends: the transfer
-     * runs after a drain, so the array is quiescent.
+     * 64-bit words transposed. The transfer runs after a drain, so
+     * the array is quiescent.
      */
     uint64_t executeReadBulk(const BulkIoSpec &spec, uint32_t *out);
 
@@ -155,41 +170,19 @@ class ExecutionEngine
     uint64_t applyWriteBulk(const BulkIoSpec &spec,
                             const uint32_t *values);
 
-  protected:
-    /** Reference semantics: apply one op to the full crossbar array. */
-    void serialPerform(const MicroOp &op);
-
     /**
-     * Split @p ops at the cross-crossbar barriers: barrier ops run
-     * immediately via the reference semantics, and @p fn(seg, len) is
-     * invoked for each maximal barrier-free segment in between — the
-     * segmentation every trace-consuming backend shares.
+     * Per-worker applied-work counters (one op recorded per crossbar
+     * actually touched by that worker): a load-balance diagnostic, NOT
+     * the architectural stats. Which worker claims which chunk is
+     * scheduling-dependent, but the merged total (Stats::merged)
+     * always equals architectural work ops x touched crossbars.
      */
-    template <typename Fn>
-    void
-    forEachSegment(const Word *ops, size_t n, Fn &&fn)
-    {
-        size_t i = 0;
-        while (i < n) {
-            if (isBarrierOp(enc::peekType(ops[i]))) {
-                serialPerform(MicroOp::decode(ops[i]));
-                ++i;
-                continue;
-            }
-            size_t j = i + 1;
-            while (j < n && !isBarrierOp(enc::peekType(ops[j])))
-                ++j;
-            fn(ops + i, j - i);
-            i = j;
-        }
-    }
+    const std::vector<Stats> &shardWork() const { return work_; }
 
-    void doCrossbarMask(const MicroOp &op);
-    void doRowMask(const MicroOp &op);
-    void doWrite(const MicroOp &op);
-    void doLogicH(const MicroOp &op);
-    void doLogicV(const MicroOp &op);
-    void doMove(const MicroOp &op);
+  protected:
+    /** Execute a barrier op (Read or Move) with its validation and
+     *  stats; the only ops that bypass the segment pre-pass. */
+    void serialPerform(const MicroOp &op);
 
     // --- owned-slice helpers (global crossbar coordinates) -------------
 
@@ -238,20 +231,47 @@ class ExecutionEngine
     Stats &stats_;
 
   private:
-    /** doMove scratch (read-all-then-write-all staging), reused so
-     *  the per-op hot path never allocates. */
+    /**
+     * Run @p fn(xb, work) for every owned crossbar of the hull
+     * [@p lo, @p hi) — inline with one thread, under the
+     * work-stealing chunk schedule otherwise — charging each worker's
+     * applied work to shardWork().
+     */
+    template <typename Fn> void replayHull(uint32_t lo, uint32_t hi,
+                                           Fn &&fn);
+
+    ThreadPool pool_;
+    std::vector<Stats> work_;
+    std::atomic<uint32_t> next_{0};  //!< chunk claim counter
+    SegmentTrace trace_;  //!< execute()'s arena, reused across batches
+    /** Move scratch (read-all-then-write-all staging), reused so the
+     *  per-op hot path never allocates. */
     std::vector<uint32_t> moveValues_;
     std::vector<uint32_t> moveDsts_;
 };
 
-/** Instantiate the backend selected by @p cfg over the given state. */
+/** Build the engine for @p cfg over the given state. */
 std::unique_ptr<ExecutionEngine>
 makeEngine(const EngineConfig &cfg, const Geometry &geo,
            std::vector<Crossbar> &xbs, uint32_t xbBase,
            const HTree &htree, MaskState &mask, Stats &stats);
 
+/** Signature of makeEngine, for the test seam below. */
+using EngineFactory = std::unique_ptr<ExecutionEngine> (*)(
+    const EngineConfig &, const Geometry &, std::vector<Crossbar> &,
+    uint32_t, const HTree &, MaskState &, Stats &);
+
 /**
- * Validate a Read against the mask state exactly as the serial
+ * Test seam: while @p f is set, makeEngine builds every engine
+ * through it instead (process-wide; forked socket workers inherit
+ * it). The parity suites install the op-major reference interpreter
+ * of tests/reference_engine.hpp this way; nullptr restores the
+ * production engine.
+ */
+void setEngineFactoryForTesting(EngineFactory f);
+
+/**
+ * Validate a Read against the mask state exactly as the op-major
  * reference would, without touching any crossbar. Shared between
  * executeRead and the pipeline pre-pass (which validates at submit
  * time so a malformed op is reported at the submitBatch containing
@@ -262,7 +282,7 @@ void validateRead(const MicroOp &op, const Range &xb, const Range &row,
 
 /**
  * Validate a Move against the crossbar mask @p xb exactly as the
- * serial reference would, without touching any crossbar. Returns the
+ * op-major reference would, without touching any crossbar. Returns the
  * (signed) crossbar distance of the transfer.
  */
 int64_t validateMove(const MicroOp &op, const Range &xb,

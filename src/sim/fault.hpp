@@ -43,6 +43,7 @@
 #ifndef PYPIM_SIM_FAULT_HPP
 #define PYPIM_SIM_FAULT_HPP
 
+#include <atomic>
 #include <cstdint>
 #include <random>
 #include <string>
@@ -166,7 +167,9 @@ class FaultInjector
     uint64_t batch_ = 0;
     bool failFired_ = false;
     bool poisonFired_ = false;
-    bool suppressed_ = false;
+    /** Flipped by the recovery path on the host thread while pipeline
+     *  consumers of other sub-devices may still be replaying. */
+    std::atomic<bool> suppressed_{false};
     std::vector<StuckPin> stuck_;  //!< chosen lazily on first corrupt
     uint64_t injected_ = 0;
 };

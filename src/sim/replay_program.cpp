@@ -1,6 +1,7 @@
 #include "sim/replay_program.hpp"
 
 #include <algorithm>
+#include <atomic>
 
 #include "sim/batch_trace.hpp"
 #include "sim/segment_trace.hpp"
@@ -230,9 +231,22 @@ compileSegmentProgram(const SegmentTrace &t, const Geometry &geo,
     }
 }
 
+namespace
+{
+std::atomic<bool> compilationOn{true};
+} // namespace
+
+void
+setTraceCompilationEnabled(bool on)
+{
+    compilationOn.store(on);
+}
+
 void
 compileBatchTrace(BatchTrace &batch, const Geometry &geo)
 {
+    if (!compilationOn.load(std::memory_order_relaxed))
+        return;
     batch.programs.resize(batch.used);
     for (uint32_t s = 0; s < batch.used; ++s)
         compileSegmentProgram(batch.segments[s], geo,

@@ -47,8 +47,8 @@
  * The one-shot arena path (the asynchronous pipeline's uncached
  * batches) keeps the interpreter: those traces replay exactly once,
  * so compile time there is pure loss. The interpreter also stays the
- * parity oracle behind PYPIM_COMPILED_REPLAY=0
- * (tests/test_replay_program.cpp).
+ * parity oracle of the executors: tests switch compilation off with
+ * setTraceCompilationEnabled (tests/test_replay_program.cpp).
  */
 #ifndef PYPIM_SIM_REPLAY_PROGRAM_HPP
 #define PYPIM_SIM_REPLAY_PROGRAM_HPP
@@ -178,6 +178,14 @@ void compileSegmentProgram(const SegmentTrace &trace,
  * (ExecutionEngine::replayBatch).
  */
 void compileBatchTrace(BatchTrace &batch, const Geometry &geo);
+
+/**
+ * Test seam: with @p on false, compileBatchTrace leaves every batch
+ * uncompiled, so frozen traces replay through the segment interpreter
+ * (the compiled executors' parity oracle). Process-wide; forked
+ * socket workers inherit it. On by default and in production.
+ */
+void setTraceCompilationEnabled(bool on);
 
 } // namespace pypim
 

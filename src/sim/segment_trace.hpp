@@ -183,8 +183,8 @@ bool fusableInitNor(const HalfGates &init, const HalfGates &nor);
 /**
  * Decode the barrier-free segment @p ops[0..n) into @p trace.
  *
- * This is the engines' shared pre-pass: it validates every op exactly
- * as the serial reference would (so a malformed op aborts BEFORE any
+ * This is the engine's shared pre-pass: it validates every op exactly
+ * as the op-major reference would (so a malformed op aborts BEFORE any
  * crossbar is touched), records the architectural @p stats, and
  * advances the authoritative @p mask state past the segment. It
  * touches no crossbar: O(n), not O(n * crossbars).

@@ -13,11 +13,10 @@
  * the in-stream mask state (the volatile crossbar activation bit and
  * the stored row mask of §III-B, expanded once per row-mask op), and
  * statistics — while HOW a micro-op stream is replayed over that
- * state is delegated to a pluggable ExecutionEngine (sim/engine.hpp):
- * the serial reference backend, a decode-once crossbar-major trace
- * backend, or a sharded multi-threaded backend that scales with host
- * cores like real PIM scales with crossbars. Engines can be swapped
- * at runtime without losing memory contents.
+ * state is delegated to the ExecutionEngine (sim/engine.hpp), which
+ * replays crossbar-major on EngineConfig::threads host threads, the
+ * way real PIM scales with crossbars. The engine can be swapped at
+ * runtime without losing memory contents.
  *
  * With EngineConfig::pipeline enabled the simulator additionally owns
  * an asynchronous execution pipeline (sim/pipeline.hpp): submitBatch
@@ -51,7 +50,7 @@ class FaultInjector;
 class Simulator : public OperationSink
 {
   public:
-    /** @p ec selects the execution backend (default: serial). */
+    /** @p ec sets the engine's threads, the pipeline and storage. */
     explicit Simulator(const Geometry &geo,
                        const EngineConfig &ec = {});
 
@@ -213,8 +212,8 @@ class Simulator : public OperationSink
     bool pipelined() const { return pipeline_ != nullptr; }
 
     /**
-     * Active execution backend. Drains the pipeline: the engine's
-     * per-worker diagnostics (e.g. ShardedEngine::shardWork) are
+     * Active execution engine. Drains the pipeline: the engine's
+     * per-worker diagnostics (ExecutionEngine::shardWork) are
      * written by the consumer thread while batches are in flight.
      */
     ExecutionEngine &
@@ -231,7 +230,7 @@ class Simulator : public OperationSink
     }
 
     /**
-     * Replace the execution backend (draining the pipeline first).
+     * Rebuild the execution engine (draining the pipeline first).
      * Crossbar contents, mask state and statistics are owned by the
      * simulator and survive the swap; the pipeline is enabled or
      * disabled per @p ec.
@@ -313,9 +312,6 @@ class Simulator : public OperationSink
 
     Geometry geo_;
     uint32_t sliceLo_ = 0;
-    /** Lower prepared traces into compiled replay programs at freeze
-     *  (EngineConfig::compiledReplay; follows setEngine swaps). */
-    bool compiledReplay_ = true;
     std::vector<Crossbar> xbs_;
     HTree htree_;
     MaskState mask_;

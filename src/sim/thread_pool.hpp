@@ -1,14 +1,14 @@
 /**
  * @file
- * Persistent worker pool for the sharded execution engine.
+ * Persistent worker pool for the execution engine.
  *
  * Batch execution dispatches one task per shard many thousands of
  * times per second, so workers must be persistent (spawning threads
  * per batch would dwarf the simulation work). The pool spawns
  * size()-1 workers and the calling thread executes its own share
  * inside parallelFor, so a pool of size 1 degenerates to an inline
- * loop with zero synchronisation — which is how the sharded engine
- * stays usable (and testable) on single-core hosts.
+ * loop with zero synchronisation — the engine's default one-thread
+ * configuration.
  */
 #ifndef PYPIM_SIM_THREAD_POOL_HPP
 #define PYPIM_SIM_THREAD_POOL_HPP
@@ -36,7 +36,7 @@ class ThreadPool
      * (worker i to core (pinBase + i + 1) mod hardware_concurrency;
      * the calling thread is never pinned — it belongs to the
      * application). @p pinBase staggers multiple pools in one process
-     * onto disjoint cores (the multi-device sharded engine passes its
+     * onto disjoint cores (the multi-device engine passes its
      * sub-device offset; see sharded_engine.cpp). A no-op on
      * platforms without pthread_setaffinity_np; whether pinning
      * actually took is reported by pinnedWorkers().

@@ -186,7 +186,7 @@ traceSignature(const Word *ops, size_t n, bool fuse)
 }
 
 std::shared_ptr<const BatchTrace>
-buildWireTrace(const Word *ops, size_t n, bool fuse, bool compiled,
+buildWireTrace(const Word *ops, size_t n, bool fuse,
                const Geometry &geo, const HTree &htree)
 {
     if (!leadsWithMasks(ops, n))
@@ -199,8 +199,7 @@ buildWireTrace(const Word *ops, size_t n, bool fuse, bool compiled,
     buildBatchTrace(ops, n, geo, htree, local, *batch);
     if (fuse)
         fuseBatchTrace(*batch, geo);
-    if (compiled)
-        compileBatchTrace(*batch, geo);
+    compileBatchTrace(*batch, geo);
     batch->wireSig = traceSignature(ops, n, fuse);
     batch->sourceOps.assign(ops, ops + n);
     batch->sourceFuse = fuse;

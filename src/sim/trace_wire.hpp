@@ -12,14 +12,15 @@
  *  - the RAW SOURCE STREAM: the receiver rebuilds the trace
  *    deterministically with buildBatchTrace/fuseBatchTrace on its own
  *    arenas — the raw-trace fallback that keeps the format valid for
- *    any receiver, compiled replay or not;
+ *    any receiver;
  *  - the batch's architectural epilogue (Stats, final masks) as a
  *    CROSS-CHECK: the rebuilt trace must reproduce it exactly, so a
  *    sender/receiver decode divergence fails loudly instead of
  *    silently corrupting the replicated-stats invariant;
  *  - the compiled ReplayProgram SoA arenas (instructions, merged
  *    column-pass sections, pre-chunked write stripes, pre-decoded
- *    LogicV runs, row-mask words) when the sender compiled them: the
+ *    LogicV runs, row-mask words), absent only when a test switched
+ *    compilation off (setTraceCompilationEnabled): the
  *    receiver installs these VERBATIM instead of recompiling, so the
  *    executed program is bit-for-bit the sender's.
  *
@@ -53,13 +54,13 @@ uint64_t traceSignature(const Word *ops, size_t n, bool fuse);
  * stream WITHOUT a Simulator: the host-side mirror of
  * Simulator::prepareTrace for transports whose sub-device state lives
  * elsewhere. Returns null when the stream does not lead with both
- * masks; otherwise the trace is built, optionally fused and compiled,
+ * masks; otherwise the trace is built, optionally fused, compiled,
  * and stamped with its wire identity (BatchTrace::wireSig/sourceOps/
  * sourceFuse). Unlike the Simulator path, a malformed stream throws
  * without any stats side effect — the caller owns no counters.
  */
 std::shared_ptr<const BatchTrace>
-buildWireTrace(const Word *ops, size_t n, bool fuse, bool compiled,
+buildWireTrace(const Word *ops, size_t n, bool fuse,
                const Geometry &geo, const HTree &htree);
 
 /** Encode @p trace (which must carry its wire identity) into one

@@ -6,7 +6,7 @@
  * per-crossbar (fuzzed gather/scatter vs read/writeRow on both
  * storage modes, block seams, absent blocks, elision preservation)
  * and end-to-end (full tensor programs on bulk-on vs bulk-off
- * devices across storage x device-count x engine x sync/pipelined),
+ * devices across storage x device-count x threads x sync/pipelined),
  * plus the drain contract (ONE pipeline drain per transfer per
  * sub-device) and the equal-value run coalescing shared by both knob
  * settings.
@@ -21,6 +21,7 @@
 #include "pim/pypim.hpp"
 #include "sim/crossbar.hpp"
 #include "sim/simulator.hpp"
+#include "reference_engine.hpp"
 
 using namespace pypim;
 
@@ -197,26 +198,9 @@ TEST(DriverBulk, WriteWorksWithUnknownMasks)
 
 // --- end-to-end parity: bulk on vs the element-wise oracle ---------------
 
-struct EngineCase
-{
-    const char *name;
-    EngineConfig cfg;
-};
-
-const EngineCase &
-engineCase(size_t i)
-{
-    static const EngineCase cases[] = {
-        {"serial", EngineConfig::serial()},
-        {"trace", EngineConfig::trace()},
-        {"sharded", EngineConfig::sharded(2)},
-        {"serial+pipe", EngineConfig::serial().withPipeline()},
-        {"trace+pipe", EngineConfig::trace().withPipeline()},
-        {"sharded+pipe", EngineConfig::sharded(2).withPipeline()},
-    };
-    return cases[i];
-}
-constexpr size_t numEngineCases = 6;
+using test::engineCase;
+using test::EngineCase;
+using test::numEngineCases;
 
 /**
  * One representative tensor program: random uploads, arithmetic, a
@@ -259,13 +243,11 @@ TEST_P(BulkIoParity, BulkMatchesElementwiseEverywhere)
     const Geometry g = multiGeometry();
     for (XbarStorage st : {XbarStorage::Dense, XbarStorage::Paged}) {
         for (uint32_t devices : {1u, 2u, 4u}) {
-            EngineConfig on =
+            const EngineConfig cfg =
                 ec.cfg.withDevices(devices).withStorage(st);
-            on.bulkIo = true;
-            EngineConfig off = on;
-            off.bulkIo = false;
-            Device devOn(g, Driver::Mode::Parallel, on);
-            Device devOff(g, Driver::Mode::Parallel, off);
+            Device devOn(g, Driver::Mode::Parallel, cfg);
+            Device devOff(g, Driver::Mode::Parallel, cfg);
+            devOff.driver().setBulkIoEnabled(false);
             const auto got = runProgram(devOn, 77, 700);
             const auto want = runProgram(devOff, 77, 700);
             // The element loop's final mask restore is still batched
@@ -300,7 +282,7 @@ TEST(BulkIoDrains, OneDrainPerTransferPerSubDevice)
 {
     const Geometry g = multiGeometry();
     const EngineConfig cfg =
-        EngineConfig::trace().withPipeline().withDevices(2);
+        EngineConfig{}.withPipeline().withDevices(2);
     Device dev(g, Driver::Mode::Parallel, cfg);
     std::vector<int32_t> v(300);
     for (size_t i = 0; i < v.size(); ++i)
@@ -319,9 +301,8 @@ TEST(BulkIoCoalescing, ConstantUploadCostsRunsNotElements)
 {
     const Geometry g = multiGeometry();
     for (bool bulk : {true, false}) {
-        EngineConfig cfg;
-        cfg.bulkIo = bulk;
-        Device dev(g, Driver::Mode::Parallel, cfg);
+        Device dev(g, Driver::Mode::Parallel, EngineConfig{});
+        dev.driver().setBulkIoEnabled(bulk);
         const std::vector<int32_t> v(
             static_cast<size_t>(g.rows) * g.numCrossbars, 42);
         const uint64_t before = dev.driver().stats().instructions;

@@ -3,7 +3,7 @@
  * Checkpoint/restore tests (sim/serialize.hpp, sim/checkpoint.hpp,
  * Device::checkpoint/restore): fuzzed round trips must be
  * bit-identical in crossbar state, mask state and architectural Stats
- * across every engine x sync/pipelined x storage combination —
+ * across every threads x sync/pipelined x storage combination —
  * including restores into a DIFFERENT sub-device count than the
  * checkpoint was taken from — with the canonical encoding producing
  * byte-identical files from dense and paged sources, corrupt files
@@ -21,6 +21,7 @@
 #include "pim/pypim.hpp"
 #include "sim/checkpoint.hpp"
 #include "sim/serialize.hpp"
+#include "reference_engine.hpp"
 
 using namespace pypim;
 
@@ -35,26 +36,9 @@ ckptGeometry()
     return g;
 }
 
-struct EngineCase
-{
-    const char *name;
-    EngineConfig cfg;
-};
-
-const EngineCase &
-engineCase(size_t i)
-{
-    static const EngineCase cases[] = {
-        {"serial", EngineConfig::serial()},
-        {"trace", EngineConfig::trace()},
-        {"sharded", EngineConfig::sharded(2)},
-        {"serial+pipe", EngineConfig::serial().withPipeline()},
-        {"trace+pipe", EngineConfig::trace().withPipeline()},
-        {"sharded+pipe", EngineConfig::sharded(2).withPipeline()},
-    };
-    return cases[i];
-}
-constexpr size_t numEngineCases = 6;
+using test::engineCase;
+using test::EngineCase;
+using test::numEngineCases;
 
 /** Unique scratch file per test, removed by the guard. */
 class TempFile
@@ -224,7 +208,7 @@ TEST(CheckpointEncoding, DenseAndPagedProduceIdenticalBytes)
 {
     const Geometry g = ckptGeometry();
     for (uint32_t devices : {1u, 2u}) {
-        EngineConfig cfg = EngineConfig::trace().withDevices(devices);
+        EngineConfig cfg = EngineConfig{}.withDevices(devices);
         Device dense(g, Driver::Mode::Parallel,
                      cfg.withStorage(XbarStorage::Dense));
         Device paged(g, Driver::Mode::Parallel,
@@ -360,13 +344,13 @@ TEST(CheckpointBusyFlag, CheckpointQuiescesLivePipelines)
     // must quiesce every consumer before any snapshot is taken.
     const Geometry g = ckptGeometry();
     Device dev(g, Driver::Mode::Parallel,
-               EngineConfig::trace().withPipeline().withDevices(2));
+               EngineConfig{}.withPipeline().withDevices(2));
     for (int round = 0; round < 4; ++round) {
         const auto want = runProgram(dev, 100 + round, 500);
         TempFile f("live");
         dev.checkpoint(f.path());
         Device back(g, Driver::Mode::Parallel,
-                    EngineConfig::trace().withPipeline());
+                    EngineConfig{}.withPipeline());
         back.restore(f.path());
         EXPECT_TRUE(sameDeviceState(dev, back)) << "round " << round;
     }
@@ -379,7 +363,7 @@ TEST(CheckpointCompact, CompactUnderLiveSnapshotsPreservesImages)
     const Geometry g = ckptGeometry();
     for (uint32_t devices : {2u, 4u}) {
         Device dev(g, Driver::Mode::Parallel,
-                   EngineConfig::serial()
+                   EngineConfig{}
                        .withDevices(devices)
                        .withStorage(XbarStorage::Paged));
         runProgram(dev, 11, 800);

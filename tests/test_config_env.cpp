@@ -4,12 +4,14 @@
  * (EngineConfig::fromEnv): malformed or out-of-range values of
  * PYPIM_THREADS / PYPIM_DEVICES must throw a clear pypim::Error
  * instead of silently misconfiguring the stack (atol-style parsing
- * read "abc" as 0 and "12abc" as 12), and the boolean knobs must
- * reject anything but on|off|1|0.
+ * read "abc" as 0 and "12abc" as 12), the boolean knobs must
+ * reject anything but on|off|1|0, and the removed oracle switches
+ * must fail loudly, naming what replaces them.
  */
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
 
 #include "common/config.hpp"
 #include "common/error.hpp"
@@ -101,10 +103,6 @@ TEST(ConfigEnv, SwitchKnobsRejectJunk)
         EXPECT_THROW(EngineConfig::fromEnv(), Error);
     }
     {
-        EnvVar v("PYPIM_TRACE_CACHE", "2");
-        EXPECT_THROW(EngineConfig::fromEnv(), Error);
-    }
-    {
         EnvVar v("PYPIM_AFFINITY", "true");
         EXPECT_THROW(EngineConfig::fromEnv(), Error);
     }
@@ -148,53 +146,35 @@ TEST(ConfigEnv, XbarStorageRejectsJunk)
     }
 }
 
-TEST(ConfigEnv, BulkIoParses)
+TEST(ConfigEnv, RemovedVariablesFailLoudly)
 {
+    // Any value, even one that used to select the default, throws: a
+    // leftover export must not silently run something else. The
+    // message names the variable and what replaces it.
+    const struct
     {
-        EnvVar v("PYPIM_BULK_IO", "on");
-        EXPECT_TRUE(EngineConfig::fromEnv().bulkIo);
-    }
-    {
-        EnvVar v("PYPIM_BULK_IO", "1");
-        EXPECT_TRUE(EngineConfig::fromEnv().bulkIo);
-    }
-    {
-        EnvVar v("PYPIM_BULK_IO", "off");
-        EXPECT_FALSE(EngineConfig::fromEnv().bulkIo);
-    }
-    {
-        EnvVar v("PYPIM_BULK_IO", "0");
-        EXPECT_FALSE(EngineConfig::fromEnv().bulkIo);
-    }
-}
-
-TEST(ConfigEnv, BulkIoRejectsJunk)
-{
-    for (const char *bad : {"yes", "true", "2", "ON", " on"}) {
-        EnvVar v("PYPIM_BULK_IO", bad);
-        EXPECT_THROW(EngineConfig::fromEnv(), Error)
-            << "PYPIM_BULK_IO='" << bad << "'";
-    }
-}
-
-TEST(ConfigEnv, CompiledReplayParses)
-{
-    {
-        EnvVar v("PYPIM_COMPILED_REPLAY", "on");
-        EXPECT_TRUE(EngineConfig::fromEnv().compiledReplay);
-    }
-    {
-        EnvVar v("PYPIM_COMPILED_REPLAY", "off");
-        EXPECT_FALSE(EngineConfig::fromEnv().compiledReplay);
-    }
-    {
-        EnvVar v("PYPIM_COMPILED_REPLAY", "0");
-        EXPECT_FALSE(EngineConfig::fromEnv().compiledReplay);
-    }
-    for (const char *bad : {"yes", "true", "ON", " off"}) {
-        EnvVar v("PYPIM_COMPILED_REPLAY", bad);
-        EXPECT_THROW(EngineConfig::fromEnv(), Error)
-            << "PYPIM_COMPILED_REPLAY='" << bad << "'";
+        const char *name;
+        const char *replacement;
+    } removed[] = {
+        {"PYPIM_ENGINE", "PYPIM_THREADS"},
+        {"PYPIM_TRACE_CACHE", "setTraceCacheEnabled"},
+        {"PYPIM_BULK_IO", "setBulkIoEnabled"},
+        {"PYPIM_COMPILED_REPLAY", "setTraceCompilationEnabled"},
+    };
+    for (const auto &r : removed) {
+        for (const char *value : {"on", "off", "1", "serial", ""}) {
+            EnvVar v(r.name, value);
+            try {
+                (void)EngineConfig::fromEnv();
+                ADD_FAILURE() << r.name << "='" << value
+                              << "' was accepted";
+            } catch (const Error &e) {
+                const std::string msg = e.what();
+                EXPECT_NE(msg.find(r.name), std::string::npos) << msg;
+                EXPECT_NE(msg.find(r.replacement), std::string::npos)
+                    << msg;
+            }
+        }
     }
 }
 
@@ -203,20 +183,15 @@ TEST(ConfigEnv, DefaultsWhenUnset)
     ::unsetenv("PYPIM_DEVICES");
     ::unsetenv("PYPIM_AFFINITY");
     ::unsetenv("PYPIM_XBAR_STORAGE");
-    ::unsetenv("PYPIM_BULK_IO");
-    ::unsetenv("PYPIM_COMPILED_REPLAY");
+    ::unsetenv("PYPIM_THREADS");
     const EngineConfig c = EngineConfig::fromEnv();
+    EXPECT_EQ(c.threads, 1u)
+        << "one thread, replayed inline, is the default";
     EXPECT_EQ(c.devices, 1u);
     EXPECT_FALSE(c.affinity);
     EXPECT_EQ(c.storage, XbarStorage::Paged)
         << "paged is the default representation; dense is the "
            "opt-in parity oracle";
-    EXPECT_TRUE(c.bulkIo)
-        << "bulk I/O is the default; the element-wise path is the "
-           "opt-in parity oracle";
-    EXPECT_TRUE(c.compiledReplay)
-        << "compiled trace replay is the default; the interpreter is "
-           "the opt-in parity oracle";
 }
 
 TEST(ConfigEnv, TransportParses)

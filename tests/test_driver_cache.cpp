@@ -186,26 +186,27 @@ TEST_F(StreamCacheTest, FusionToggleRebuildsTraces)
     EXPECT_EQ(readReg(2), std::vector<uint32_t>(threads(), 3000u));
 }
 
-TEST(TraceCacheDevice, EngineConfigKnobReachesDriver)
+TEST(TraceCacheDevice, DriverCacheIsOnAndSwitchable)
 {
+    // The trace cache is not a setting: every device starts with it
+    // on, and tests reach the uncached oracle through the driver.
     const Geometry g = testGeometry();
-    EngineConfig off;
-    off.traceCache = false;
-    Device devOff(g, Driver::Mode::Serial, off);
-    EXPECT_FALSE(devOff.driver().traceCacheEnabled());
-    Device devOn(g, Driver::Mode::Serial, EngineConfig::serial());
-    EXPECT_TRUE(devOn.driver().traceCacheEnabled());
+    Device dev(g, Driver::Mode::Serial, EngineConfig{});
+    EXPECT_TRUE(dev.driver().traceCacheEnabled());
+    EXPECT_TRUE(dev.driver().bulkIoEnabled());
+    dev.driver().setTraceCacheEnabled(false);
+    EXPECT_FALSE(dev.driver().traceCacheEnabled());
 }
 
-TEST(TraceCacheDevice, PipelinedCachedRepliesMatchSynchronousSerial)
+TEST(TraceCacheDevice, PipelinedCachedRepliesMatchSynchronous)
 {
     // Warm-cache replay through the asynchronous pipeline: repeated
     // instructions stream shared trace handles through the hand-off
-    // queue; results must match the synchronous serial device.
+    // queue; results must match the synchronous device.
     const Geometry g = testGeometry();
-    Device sync(g, Driver::Mode::Parallel, EngineConfig::serial());
+    Device sync(g, Driver::Mode::Parallel, EngineConfig{});
     Device piped(g, Driver::Mode::Parallel,
-                 EngineConfig::sharded(2).withPipeline());
+                 EngineConfig{}.withThreads(2).withPipeline());
     const uint64_t n = g.rows * g.numCrossbars;
     std::vector<int32_t> a(n), b(n);
     for (uint64_t i = 0; i < n; ++i) {
@@ -235,7 +236,7 @@ TEST(TraceCacheDevice, PipelinedWarmHitsGoThroughSharedHandles)
 {
     const Geometry g = testGeometry();
     Device dev(g, Driver::Mode::Parallel,
-               EngineConfig::sharded(2).withPipeline());
+               EngineConfig{}.withThreads(2).withPipeline());
     RTypeInstr in;
     in.op = ROp::Mul;
     in.dtype = DType::Int32;
@@ -259,8 +260,8 @@ TEST(TraceCacheDevice, ClearMidFlightKeepsQueuedReplaysAlive)
     // next execution re-records (a fresh miss).
     const Geometry g = testGeometry();
     Device piped(g, Driver::Mode::Serial,
-                 EngineConfig::sharded(2).withPipeline());
-    Device oracle(g, Driver::Mode::Serial, EngineConfig::serial());
+                 EngineConfig{}.withThreads(2).withPipeline());
+    Device oracle(g, Driver::Mode::Serial, EngineConfig{});
     const uint64_t n = g.rows * g.numCrossbars;
     std::vector<uint32_t> a(n), b(n);
     for (uint64_t i = 0; i < n; ++i) {

@@ -1,16 +1,17 @@
 /**
  * @file
- * Engine-parity tests (the non-reference backends' correctness
+ * Engine-parity tests (the production engine's correctness
  * contract): for fuzzed valid micro-op streams, directed
  * mask-interleaved segments and driver-level tensor programs, the
- * ShardedEngine (at 1, 2 and 8 threads), the TraceEngine, and all
- * three engines behind the asynchronous pipeline must leave every
- * crossbar in a bit-identical state and produce identical
- * architectural Stats compared to the synchronous op-major
- * SerialEngine. Pipelined cases stream batches through submitBatch
- * (genuinely asynchronous; state compares drain), plus directed tests
- * for flush ordering around performRead/readback and for the
- * report-at-submit error contract.
+ * crossbar-major engine at 1, 2 and 8 threads, synchronous and
+ * behind the asynchronous pipeline, on 1, 2 and 4 sub-devices and on
+ * both crossbar storages, must leave every crossbar in a
+ * bit-identical state and produce identical architectural Stats
+ * compared to the op-major reference interpreter
+ * (tests/reference_engine.hpp). Pipelined cases stream batches
+ * through submitBatch (genuinely asynchronous; state compares drain),
+ * plus directed tests for the work diagnostics, flush ordering around
+ * performRead/readback and the report-at-submit error contract.
  */
 #include <gtest/gtest.h>
 
@@ -20,9 +21,11 @@
 
 #include "common/rng.hpp"
 #include "pim/pypim.hpp"
-#include "sim/sharded_engine.hpp"
+#include "reference_engine.hpp"
+#include "sim/device_group.hpp"
 
 using namespace pypim;
+using pypim::test::Reference;
 
 namespace
 {
@@ -36,11 +39,9 @@ parityGeometry()
 }
 
 /**
- * The candidate backends tested against the serial oracle: sharded at
- * the contract's thread counts, the serial trace engine (which
- * exercises decode-once replay and INIT+gate fusion without
- * threading), and pipelined variants of all three engine kinds
- * (asynchronous submit on the caller thread, replay on the consumer).
+ * The production configurations tested against the reference: the
+ * contract's thread counts, synchronous and pipelined (asynchronous
+ * submit on the caller thread, replay on the consumer).
  */
 struct EngineCase
 {
@@ -52,22 +53,21 @@ const EngineCase &
 engineCase(size_t i)
 {
     static const EngineCase cases[] = {
-        {"sharded", EngineConfig::sharded(1)},
-        {"sharded", EngineConfig::sharded(2)},
-        {"sharded", EngineConfig::sharded(8)},
-        {"trace", EngineConfig::trace()},
-        {"serial", EngineConfig::serial().withPipeline()},
-        {"trace", EngineConfig::trace().withPipeline()},
-        {"sharded", EngineConfig::sharded(2).withPipeline()},
-        {"sharded", EngineConfig::sharded(8).withPipeline()},
+        {"threads=1", EngineConfig{}},
+        {"threads=2", EngineConfig{}.withThreads(2)},
+        {"threads=8", EngineConfig{}.withThreads(8)},
+        {"threads=1+pipe", EngineConfig{}.withPipeline()},
+        {"threads=2+pipe", EngineConfig{}.withThreads(2).withPipeline()},
+        {"threads=8+pipe", EngineConfig{}.withThreads(8).withPipeline()},
     };
     return cases[i];
 }
-constexpr size_t numEngineCases = 8;
+constexpr size_t numEngineCases = 6;
 
-/** Seed both simulators with identical random register contents. */
+/** Seed both sinks with identical random register contents. */
+template <typename A, typename B>
 void
-seedState(Simulator &a, Simulator &b, Rng &rng)
+seedState(A &a, B &b, Rng &rng)
 {
     const Geometry &g = a.geometry();
     for (uint32_t xb = 0; xb < g.numCrossbars; ++xb) {
@@ -81,8 +81,9 @@ seedState(Simulator &a, Simulator &b, Rng &rng)
     }
 }
 
+template <typename A, typename B>
 ::testing::AssertionResult
-sameCrossbarState(const Simulator &a, const Simulator &b)
+sameCrossbarState(const A &a, const B &b)
 {
     for (uint32_t xb = 0; xb < a.geometry().numCrossbars; ++xb) {
         if (!a.crossbar(xb).sameState(b.crossbar(xb)))
@@ -248,36 +249,52 @@ TEST_P(EngineParity, FuzzedStreamsBitIdentical)
     const auto [seed, caseIdx] = GetParam();
     const EngineCase &ec = engineCase(caseIdx);
     const Geometry g = parityGeometry();
-    Simulator serial(g);
-    Simulator other(g, ec.cfg);
-    ASSERT_STREQ(serial.engine().name(), "serial");
-    ASSERT_STREQ(other.engine().name(), ec.name);
+    for (XbarStorage storage : {XbarStorage::Dense, XbarStorage::Paged}) {
+        for (uint32_t devices : {1u, 2u, 4u}) {
+            SCOPED_TRACE(::testing::Message()
+                         << ec.name << " " << xbarStorageName(storage)
+                         << " devices=" << devices);
+            Reference<Simulator> ref(g,
+                                     EngineConfig{}.withStorage(storage));
+            SimulatorGroup other(
+                g, ec.cfg.withStorage(storage).withDevices(devices));
+            ASSERT_NE(dynamic_cast<const test::SerialEngine *>(
+                          &ref.engine()),
+                      nullptr);
+            ASSERT_EQ(dynamic_cast<const test::SerialEngine *>(
+                          &other.sub(0).engine()),
+                      nullptr);
 
-    Rng rng(seed);
-    seedState(serial, other, rng);
-    const std::vector<Word> ops = randomStream(rng, g, 600);
+            Rng rng(seed);
+            seedState(ref, other, rng);
+            const std::vector<Word> ops = randomStream(rng, g, 600);
 
-    // Feed both engines the identical stream in identical random-size
-    // batches, so segmenting boundaries vary across seeds. The
-    // candidate streams through submitBatch: for pipelined cases the
-    // batches queue up asynchronously (no drain between them), for
-    // synchronous cases it is identical to performBatch.
-    size_t i = 0;
-    while (i < ops.size()) {
-        const size_t n =
-            std::min<size_t>(1 + rng.word() % 64, ops.size() - i);
-        serial.performBatch(ops.data() + i, n);
-        other.submitBatch(ops.data() + i, n);
-        i += n;
+            // Feed both the identical stream in identical random-size
+            // batches, so segmenting boundaries vary across seeds.
+            // The candidate streams through submitBatch: for
+            // pipelined cases the batches queue up asynchronously (no
+            // drain between them), for synchronous cases it is
+            // identical to performBatch.
+            size_t i = 0;
+            while (i < ops.size()) {
+                const size_t n = std::min<size_t>(1 + rng.word() % 64,
+                                                  ops.size() - i);
+                ref.performBatch(ops.data() + i, n);
+                other.submitBatch(ops.data() + i, n);
+                i += n;
+            }
+            other.flush();
+
+            EXPECT_TRUE(sameCrossbarState(ref, other));
+            EXPECT_EQ(ref.stats(), other.stats())
+                << "reference:\n" << ref.stats().summary()
+                << ec.name << ":\n" << other.stats().summary();
+            for (uint32_t d = 0; d < other.devices(); ++d) {
+                EXPECT_EQ(ref.crossbarMask(), other.sub(d).crossbarMask());
+                EXPECT_EQ(ref.rowMask(), other.sub(d).rowMask());
+            }
+        }
     }
-    other.flush();
-
-    EXPECT_TRUE(sameCrossbarState(serial, other));
-    EXPECT_EQ(serial.stats(), other.stats())
-        << "serial:\n" << serial.stats().summary()
-        << ec.name << ":\n" << other.stats().summary();
-    EXPECT_EQ(serial.crossbarMask(), other.crossbarMask());
-    EXPECT_EQ(serial.rowMask(), other.rowMask());
 }
 
 TEST_P(EngineParity, ReadsReturnIdenticalValues)
@@ -285,12 +302,12 @@ TEST_P(EngineParity, ReadsReturnIdenticalValues)
     const auto [seed, caseIdx] = GetParam();
     const EngineCase &ec = engineCase(caseIdx);
     const Geometry g = parityGeometry();
-    Simulator serial(g);
+    Reference<Simulator> ref(g);
     Simulator other(g, ec.cfg);
     Rng rng(seed ^ 0xBEEF);
-    seedState(serial, other, rng);
+    seedState(ref, other, rng);
     const std::vector<Word> ops = randomStream(rng, g, 200);
-    serial.performBatch(ops.data(), ops.size());
+    ref.performBatch(ops.data(), ops.size());
     other.submitBatch(ops.data(), ops.size());
     for (int i = 0; i < 50; ++i) {
         const uint32_t xb = rng.word() % g.numCrossbars;
@@ -302,9 +319,9 @@ TEST_P(EngineParity, ReadsReturnIdenticalValues)
         };
         // performRead is an implicit flush, so no explicit drain is
         // needed between the submitted batches and the reads.
-        serial.performBatch(sel.data(), sel.size());
+        ref.performBatch(sel.data(), sel.size());
         other.submitBatch(sel.data(), sel.size());
-        EXPECT_EQ(serial.performRead(enc::read(slot)),
+        EXPECT_EQ(ref.performRead(enc::read(slot)),
                   other.performRead(enc::read(slot)));
     }
 }
@@ -314,8 +331,8 @@ TEST_P(EngineParity, EngineSwapPreservesState)
     const auto [seed, caseIdx] = GetParam();
     const EngineCase &ec = engineCase(caseIdx);
     const Geometry g = parityGeometry();
-    Simulator oracle(g);
-    Simulator swapped(g);  // starts serial, swaps mid-stream
+    Reference<Simulator> oracle(g);
+    Reference<Simulator> swapped(g);  // swaps to production mid-stream
     Rng rng(seed * 7 + 5);
     seedState(oracle, swapped, rng);
     const std::vector<Word> ops = randomStream(rng, g, 400);
@@ -373,7 +390,7 @@ TEST_P(CachedTraceParity, ReplayBitIdenticalAndWorkConserving)
     const uint64_t seed = GetParam();
     const Geometry g = parityGeometry();
     Rng rng(seed);
-    Simulator oracle(g);
+    Reference<Simulator> oracle(g);
     {
         Simulator seedSim(g);
         seedState(oracle, seedSim, rng);  // oracle seeded; throwaway
@@ -383,9 +400,10 @@ TEST_P(CachedTraceParity, ReplayBitIdenticalAndWorkConserving)
     oracle.performBatch(ops.data(), ops.size());
 
     for (const uint32_t threads : {1u, 2u, 8u}) {
-        Simulator uncached(g, EngineConfig::sharded(threads));
-        Simulator cached(g, EngineConfig::sharded(threads));
-        Simulator fused(g, EngineConfig::sharded(threads));
+        const EngineConfig cfg = EngineConfig{}.withThreads(threads);
+        Simulator uncached(g, cfg);
+        Simulator cached(g, cfg);
+        Simulator fused(g, cfg);
         {
             Rng r1(seed), r2(seed);
             seedState(uncached, cached, r1);
@@ -415,15 +433,10 @@ TEST_P(CachedTraceParity, ReplayBitIdenticalAndWorkConserving)
 
         // Work conservation: without the window pass the cached trace
         // is the same trace the uncached path built internally.
-        const Stats wUncached = Stats::merged(
-            static_cast<const ShardedEngine &>(uncached.engine())
-                .shardWork());
-        const Stats wCached = Stats::merged(
-            static_cast<const ShardedEngine &>(cached.engine())
-                .shardWork());
-        const Stats wFused = Stats::merged(
-            static_cast<const ShardedEngine &>(fused.engine())
-                .shardWork());
+        const Stats wUncached =
+            Stats::merged(uncached.engine().shardWork());
+        const Stats wCached = Stats::merged(cached.engine().shardWork());
+        const Stats wFused = Stats::merged(fused.engine().shardWork());
         EXPECT_EQ(wUncached, wCached) << "threads=" << threads;
         EXPECT_LE(wFused.totalOps(), wCached.totalOps())
             << "threads=" << threads;
@@ -433,7 +446,7 @@ TEST_P(CachedTraceParity, ReplayBitIdenticalAndWorkConserving)
     // asynchronously several times, must match the oracle replaying
     // the raw stream the same number of times.
     {
-        Simulator piped(g, EngineConfig::sharded(2).withPipeline());
+        Simulator piped(g, EngineConfig{}.withThreads(2).withPipeline());
         {
             Rng r(seed);
             Simulator tmp(g);
@@ -442,7 +455,7 @@ TEST_P(CachedTraceParity, ReplayBitIdenticalAndWorkConserving)
         const auto trace =
             piped.prepareTrace(ops.data(), ops.size(), true);
         ASSERT_TRUE(trace != nullptr);
-        Simulator oracle3(g);
+        Reference<Simulator> oracle3(g);
         {
             Rng r(seed);
             Simulator tmp(g);
@@ -469,7 +482,7 @@ namespace
  * inside single segments: strided masks, fusable and fusion-defeated
  * INIT1+NOR pairs, an input-aliases-output NOR (must not fuse), and a
  * barrier in the middle. Deterministic — every engine must reproduce
- * the serial oracle bit for bit.
+ * the reference bit for bit.
  */
 std::vector<Word>
 maskInterleavedBatch(const Geometry &g)
@@ -546,18 +559,26 @@ TEST(EngineParityDirected, MaskInterleavedSegments)
     const std::vector<Word> ops = maskInterleavedBatch(g);
     for (size_t c = 0; c < numEngineCases; ++c) {
         const EngineCase &ec = engineCase(c);
-        Simulator serial(g);
+        Reference<Simulator> ref(g);
         Simulator other(g, ec.cfg);
         Rng seedRng(2024);
-        seedState(serial, other, seedRng);
-        serial.performBatch(ops.data(), ops.size());
+        seedState(ref, other, seedRng);
+        ref.performBatch(ops.data(), ops.size());
         other.performBatch(ops.data(), ops.size());
-        EXPECT_TRUE(sameCrossbarState(serial, other)) << ec.name;
-        EXPECT_EQ(serial.stats(), other.stats()) << ec.name;
+        EXPECT_TRUE(sameCrossbarState(ref, other)) << ec.name;
+        EXPECT_EQ(ref.stats(), other.stats()) << ec.name;
     }
 }
 
-TEST(EngineParityWork, ShardWorkCountsEveryApplication)
+/** The work diagnostics at the inline one-thread path and under the
+ *  work-stealing pool. */
+class EngineParityWork : public ::testing::TestWithParam<uint32_t>
+{
+  protected:
+    Simulator sim{parityGeometry(), EngineConfig{}.withThreads(GetParam())};
+};
+
+TEST_P(EngineParityWork, ShardWorkCountsEveryApplication)
 {
     // Under full masks every work op applies to every crossbar, so
     // the merged per-worker diagnostics must equal the architectural
@@ -566,7 +587,6 @@ TEST(EngineParityWork, ShardWorkCountsEveryApplication)
     // Which worker claims which chunk is scheduling-dependent under
     // the work-stealing schedule, so only the merged total is exact.
     const Geometry g = parityGeometry();
-    Simulator sim(g, EngineConfig::sharded(4));
     std::vector<Word> ops;
     for (int i = 0; i < 10; ++i) {
         ops.push_back(MicroOp::write(0, 42u + i).encode());
@@ -575,43 +595,37 @@ TEST(EngineParityWork, ShardWorkCountsEveryApplication)
                                       g.partitions - 1, 1).encode());
     }
     sim.performBatch(ops.data(), ops.size());
-    const auto &eng =
-        static_cast<const ShardedEngine &>(sim.engine());
-    const Stats merged = Stats::merged(eng.shardWork());
+    const Stats merged = Stats::merged(sim.engine().shardWork());
     EXPECT_EQ(merged.opCount[size_t(OpClass::Write)],
               10ull * g.numCrossbars);
     EXPECT_EQ(merged.opCount[size_t(OpClass::LogicH)],
               10ull * g.numCrossbars);
 }
 
-TEST(EngineParityWork, StridedMaskWorkCoversSelectedCrossbarsOnly)
+TEST_P(EngineParityWork, StridedMaskWorkCoversSelectedCrossbarsOnly)
 {
     // A strided crossbar mask (the schedule the fixed contiguous
     // blocks balanced worst) must apply each op to exactly the
     // selected crossbars, and the work-stealing claim must account
     // for every application exactly once across the workers.
     const Geometry g = parityGeometry();
-    Simulator sim(g, EngineConfig::sharded(4));
     const Range strided(1, g.numCrossbars - 3, 2);
     std::vector<Word> ops;
     ops.push_back(MicroOp::crossbarMask(strided).encode());
     for (int i = 0; i < 12; ++i)
         ops.push_back(MicroOp::write(0, 7u * i).encode());
     sim.performBatch(ops.data(), ops.size());
-    const auto &eng =
-        static_cast<const ShardedEngine &>(sim.engine());
-    const Stats merged = Stats::merged(eng.shardWork());
+    const Stats merged = Stats::merged(sim.engine().shardWork());
     EXPECT_EQ(merged.opCount[size_t(OpClass::Write)],
               12ull * strided.count());
 }
 
-TEST(EngineParityWork, FusedPairsCountBothApplications)
+TEST_P(EngineParityWork, FusedPairsCountBothApplications)
 {
     // A fusable INIT1+NOR pair replays as one pass but represents two
     // architectural ops; the work diagnostic must count both, keeping
     // merged work == architectural ops * crossbars.
     const Geometry g = parityGeometry();
-    Simulator sim(g, EngineConfig::sharded(4));
     std::vector<Word> ops;
     for (int i = 0; i < 8; ++i) {
         ops.push_back(MicroOp::logicH(Gate::Init1, 0, 0,
@@ -622,17 +636,18 @@ TEST(EngineParityWork, FusedPairsCountBothApplications)
                                       g.partitions - 1, 1).encode());
     }
     sim.performBatch(ops.data(), ops.size());
-    const auto &eng =
-        static_cast<const ShardedEngine &>(sim.engine());
-    const Stats merged = Stats::merged(eng.shardWork());
+    const Stats merged = Stats::merged(sim.engine().shardWork());
     EXPECT_EQ(merged.opCount[size_t(OpClass::LogicH)],
               16ull * g.numCrossbars);
 }
 
+INSTANTIATE_TEST_SUITE_P(Threads, EngineParityWork,
+                         ::testing::Values(1u, 4u));
+
 namespace
 {
 
-/** Driver-level program parity: full tensor ops through both engines. */
+/** Driver-level program parity: full tensor ops on both devices. */
 void
 runDriverProgram(Device &dev)
 {
@@ -652,31 +667,31 @@ runDriverProgram(Device &dev)
 
 } // namespace
 
-TEST(EngineParityDriver, TensorProgramsMatchSerial)
+TEST(EngineParityDriver, TensorProgramsMatchReference)
 {
+    // The reference translates every instruction afresh (no trace
+    // cache), so each micro-op runs through the op-major interpreter.
     const Geometry g = parityGeometry();
-    Device serialDev(g, Driver::Mode::Parallel,
-                     EngineConfig::serial());
-    runDriverProgram(serialDev);
+    Reference<Device> refDev(g, Driver::Mode::Parallel,
+                                EngineConfig{});
+    refDev.driver().setTraceCacheEnabled(false);
+    runDriverProgram(refDev);
     for (size_t c = 0; c < numEngineCases; ++c) {
         const EngineCase &ec = engineCase(c);
         Device otherDev(g, Driver::Mode::Parallel, ec.cfg);
-        if (ec.cfg.kind == EngineKind::Sharded) {
-            EXPECT_EQ(otherDev.simulator().engine().threads(),
-                      std::min(ec.cfg.threads, g.numCrossbars));
-        }
+        EXPECT_EQ(otherDev.simulator().engine().threads(),
+                  std::min(ec.cfg.threads, g.numCrossbars));
         EXPECT_EQ(otherDev.simulator().pipelined(), ec.cfg.pipeline);
         runDriverProgram(otherDev);
         // No explicit flush: crossbar() and stats() drain the
         // pipeline themselves, and a Device::flush here would push
-        // builder-buffered mask ops the serial oracle never flushed.
+        // builder-buffered mask ops the reference never flushed.
         for (uint32_t xb = 0; xb < g.numCrossbars; ++xb) {
-            ASSERT_TRUE(serialDev.simulator().crossbar(xb).sameState(
+            ASSERT_TRUE(refDev.simulator().crossbar(xb).sameState(
                 otherDev.simulator().crossbar(xb)))
-                << "crossbar " << xb << " under " << ec.name
-                << " engine";
+                << "crossbar " << xb << " under " << ec.name;
         }
-        EXPECT_EQ(serialDev.stats(), otherDev.stats()) << ec.name;
+        EXPECT_EQ(refDev.stats(), otherDev.stats()) << ec.name;
     }
 }
 
@@ -721,15 +736,15 @@ TEST(EngineParityDirected, LogicVRunsBitIdentical)
     const std::vector<Word> ops = logicVRunBatch(g);
     for (size_t c = 0; c < numEngineCases; ++c) {
         const EngineCase &ec = engineCase(c);
-        Simulator serial(g);
+        Reference<Simulator> ref(g);
         Simulator other(g, ec.cfg);
         Rng seedRng(77);
-        seedState(serial, other, seedRng);
-        serial.performBatch(ops.data(), ops.size());
+        seedState(ref, other, seedRng);
+        ref.performBatch(ops.data(), ops.size());
         other.submitBatch(ops.data(), ops.size());
         other.flush();
-        EXPECT_TRUE(sameCrossbarState(serial, other)) << ec.name;
-        EXPECT_EQ(serial.stats(), other.stats()) << ec.name;
+        EXPECT_TRUE(sameCrossbarState(ref, other)) << ec.name;
+        EXPECT_EQ(ref.stats(), other.stats()) << ec.name;
     }
 }
 
@@ -739,7 +754,7 @@ TEST(EnginePipelineFlush, ReadDrainsAllSubmittedBatches)
     // submitted batches write successive values; a read without any
     // explicit flush must observe the last one.
     const Geometry g = parityGeometry();
-    Simulator sim(g, EngineConfig::sharded(4).withPipeline());
+    Simulator sim(g, EngineConfig{}.withThreads(4).withPipeline());
     for (uint32_t v = 1; v <= 8; ++v) {
         const std::vector<Word> batch = {
             MicroOp::write(2, 1000u + v).encode(),
@@ -760,11 +775,11 @@ TEST(EnginePipelineFlush, TensorReadbackDrainsPipeline)
 {
     // Host readback (pim/io.cpp) goes through performRead, which is
     // an implicit flush: a pipelined device must return the same
-    // vectors as a synchronous serial one with no explicit flush.
+    // vectors as a synchronous one with no explicit flush.
     const Geometry g = parityGeometry();
-    Device sync(g, Driver::Mode::Parallel, EngineConfig::serial());
+    Device sync(g, Driver::Mode::Parallel, EngineConfig{});
     Device piped(g, Driver::Mode::Parallel,
-                 EngineConfig::sharded(4).withPipeline());
+                 EngineConfig{}.withThreads(4).withPipeline());
     for (Device *dev : {&sync, &piped}) {
         const uint64_t n = 2 * g.rows;
         std::vector<int32_t> a(n), b(n);
@@ -788,8 +803,8 @@ TEST(EnginePipelineErrors, MalformedOpReportedAtSubmit)
     // contained it (not at a later flush), and nothing from that
     // batch — not even its valid prefix — may touch a crossbar.
     const Geometry g = parityGeometry();
-    Simulator sim(g, EngineConfig::sharded(2).withPipeline());
-    Simulator before(g);
+    Simulator sim(g, EngineConfig{}.withThreads(2).withPipeline());
+    Reference<Simulator> before(g);
     Rng rng(5150);
     seedState(sim, before, rng);
 
@@ -809,8 +824,8 @@ TEST(EnginePipelineErrors, MalformedOpReportedAtSubmit)
     EXPECT_TRUE(sameCrossbarState(sim, before));
     // The pipeline stays usable after the rejected submit. The
     // architectural counters include the rejected batch's valid
-    // prefix — exactly like the synchronous trace engines, whose
-    // pre-pass also records ops up to the point of failure.
+    // prefix — exactly like the synchronous engine, whose pre-pass
+    // also records ops up to the point of failure.
     sim.submitBatch(good.data(), good.size());
     sim.flush();
     EXPECT_EQ(sim.stats().opCount[size_t(OpClass::Write)], 3u);

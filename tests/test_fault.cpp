@@ -23,6 +23,7 @@
 #include "sim/checkpoint.hpp"
 #include "sim/fault.hpp"
 #include "sim/serialize.hpp"
+#include "reference_engine.hpp"
 
 using namespace pypim;
 
@@ -37,26 +38,9 @@ faultGeometry()
     return g;
 }
 
-struct EngineCase
-{
-    const char *name;
-    EngineConfig cfg;
-};
-
-const EngineCase &
-engineCase(size_t i)
-{
-    static const EngineCase cases[] = {
-        {"serial", EngineConfig::serial()},
-        {"trace", EngineConfig::trace()},
-        {"sharded", EngineConfig::sharded(2)},
-        {"serial+pipe", EngineConfig::serial().withPipeline()},
-        {"trace+pipe", EngineConfig::trace().withPipeline()},
-        {"sharded+pipe", EngineConfig::sharded(2).withPipeline()},
-    };
-    return cases[i];
-}
-constexpr size_t numEngineCases = 6;
+using test::engineCase;
+using test::EngineCase;
+using test::numEngineCases;
 
 class TempFile
 {
@@ -165,7 +149,7 @@ TEST(FaultSpec_, TypoThrowsAtDeviceConstruction)
 {
     const Geometry g = faultGeometry();
     EXPECT_THROW(Device(g, Driver::Mode::Parallel,
-                        EngineConfig::serial().withFaults("flop=1")),
+                        EngineConfig{}.withFaults("flop=1")),
                  Error);
 }
 
@@ -211,7 +195,7 @@ TEST(FaultSticky, PipelineErrorRethrownAtEverySyncUntilRestore)
     // recovery that clears it.
     const Geometry g = faultGeometry();
     Device dev(g, Driver::Mode::Parallel,
-               EngineConfig::trace()
+               EngineConfig{}
                    .withPipeline()
                    .withFaults("seed=1:fail=2"));
     TempFile f("sticky");
@@ -269,7 +253,7 @@ TEST(FaultTerminal, StuckPinsExhaustRetriesIntoStickyTerminal)
     // call, never silent corruption.
     const Geometry g = faultGeometry();
     Device dev(g, Driver::Mode::Parallel,
-               EngineConfig::serial()
+               EngineConfig{}
                    .withFaults("seed=2:stuck=8")
                    .withVerifyState());
     EXPECT_THROW(runProgram(dev, 77, 400), DeviceFault);
@@ -284,7 +268,7 @@ TEST(FaultTerminal, StuckPinsExhaustRetriesIntoStickyTerminal)
 
 TEST(FaultSoak, EverySeedRecoversOrFailsLoudly)
 {
-    // Honours the CI matrix knobs (PYPIM_ENGINE / PYPIM_PIPELINE /
+    // Honours the CI matrix knobs (PYPIM_THREADS / PYPIM_PIPELINE /
     // PYPIM_DEVICES / PYPIM_XBAR_STORAGE) as the base configuration;
     // fault spec and verification are pinned per iteration.
     EngineConfig base = EngineConfig::fromEnv();

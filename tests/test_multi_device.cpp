@@ -21,6 +21,7 @@
 #include "sim/checkpoint.hpp"
 #include "sim/device_group.hpp"
 #include "sim/serialize.hpp"
+#include "reference_engine.hpp"
 
 using namespace pypim;
 
@@ -35,26 +36,10 @@ multiGeometry()
     return g;
 }
 
-struct EngineCase
-{
-    const char *name;
-    EngineConfig cfg;
-};
-
-const EngineCase &
-engineCase(size_t i)
-{
-    static const EngineCase cases[] = {
-        {"serial", EngineConfig::serial()},
-        {"trace", EngineConfig::trace()},
-        {"sharded", EngineConfig::sharded(2)},
-        {"serial+pipe", EngineConfig::serial().withPipeline()},
-        {"trace+pipe", EngineConfig::trace().withPipeline()},
-        {"sharded+pipe", EngineConfig::sharded(2).withPipeline()},
-    };
-    return cases[i];
-}
-constexpr size_t numEngineCases = 6;
+using test::engineCase;
+using test::EngineCase;
+using test::numEngineCases;
+using test::Reference;
 
 /** Random valid Range over [0, limit). */
 Range
@@ -211,7 +196,7 @@ TEST_P(MultiDeviceFuzz, StreamsBitIdenticalAcrossDeviceCounts)
     const EngineCase &ec = engineCase(caseIdx);
     const Geometry g = multiGeometry();
     for (uint32_t devices : {2u, 4u}) {
-        Simulator oracle(g);  // monolithic serial reference
+        Reference<Simulator> oracle(g);  // monolithic reference
         SimulatorGroup grp(g, ec.cfg.withDevices(devices));
         ASSERT_EQ(grp.devices(), devices);
         Rng seedRng(seed * 31 + devices);
@@ -254,8 +239,8 @@ TEST(MultiDeviceTraffic, SlicesNestAndTransfersAreConserved)
     const Geometry g = multiGeometry();
     Rng rng(99);
     const std::vector<Word> ops = randomStream(rng, g, 600);
-    SimulatorGroup two(g, EngineConfig::serial().withDevices(2));
-    SimulatorGroup four(g, EngineConfig::serial().withDevices(4));
+    SimulatorGroup two(g, EngineConfig{}.withDevices(2));
+    SimulatorGroup four(g, EngineConfig{}.withDevices(4));
     two.performBatch(ops.data(), ops.size());
     four.performBatch(ops.data(), ops.size());
     EXPECT_EQ(two.traffic().moveOps, four.traffic().moveOps);
@@ -273,7 +258,7 @@ TEST(MultiDeviceDirected, IntraGroupMovesNeverLeaveTheirSubDevice)
     // level-1 group (16 crossbars, 4 devices) every transfer stays
     // inside its slice: zero exchanges, zero boundary transfers.
     const Geometry g = multiGeometry();
-    SimulatorGroup grp(g, EngineConfig::serial().withDevices(4));
+    SimulatorGroup grp(g, EngineConfig{}.withDevices(4));
     ASSERT_EQ(grp.crossbarsPerDevice(), 4u);
     std::vector<Word> ops;
     ops.push_back(
@@ -293,8 +278,8 @@ TEST(MultiDeviceDirected, BoundaryMovesAreExchangedExactly)
     // slice boundaries exactly once per Move op; everything else is
     // local. Verify the counts and the data.
     const Geometry g = multiGeometry();
-    Simulator oracle(g);
-    SimulatorGroup grp(g, EngineConfig::serial().withDevices(4));
+    Reference<Simulator> oracle(g);
+    SimulatorGroup grp(g, EngineConfig{}.withDevices(4));
     Rng rng(7);
     seedState(oracle, grp, rng);
     std::vector<Word> ops;
@@ -319,7 +304,7 @@ TEST(MultiDeviceDirected, OverlappingShiftChainAcrossBoundary)
     // k is itself overwritten by k-1 — the exchange stages its reads
     // before any sub-device applies the Move.
     const Geometry g = multiGeometry();
-    SimulatorGroup grp(g, EngineConfig::serial().withDevices(4));
+    SimulatorGroup grp(g, EngineConfig{}.withDevices(4));
     // Distinct marker per crossbar in slot 0, row 3.
     for (uint32_t xb = 0; xb < g.numCrossbars; ++xb)
         grp.crossbar(xb).writeRow(0, 100 + xb, 3);
@@ -380,7 +365,7 @@ runTensorProgram(Device &dev)
 TEST(MultiDeviceDriver, TensorProgramsBitIdenticalAcrossDevices)
 {
     const Geometry g = multiGeometry();
-    Device mono(g, Driver::Mode::Parallel, EngineConfig::serial());
+    Device mono(g, Driver::Mode::Parallel, EngineConfig{});
     const std::vector<int32_t> expect = runTensorProgram(mono);
     for (size_t c = 0; c < numEngineCases; ++c) {
         const EngineCase &ec = engineCase(c);
@@ -402,9 +387,9 @@ TEST(MultiDeviceDriver, WarmTraceCacheBroadcastsSharedHandles)
     // sharding on (one shared handle broadcast to all sub-devices),
     // and the results must match the monolithic device exactly.
     const Geometry g = multiGeometry();
-    Device mono(g, Driver::Mode::Parallel, EngineConfig::serial());
+    Device mono(g, Driver::Mode::Parallel, EngineConfig{});
     Device quad(g, Driver::Mode::Parallel,
-                EngineConfig::serial().withDevices(4));
+                EngineConfig{}.withDevices(4));
     const uint64_t n = g.numCrossbars * g.rows;
     std::vector<int32_t> av(n), bv(n);
     for (uint64_t i = 0; i < n; ++i) {
@@ -471,12 +456,12 @@ TEST(MultiDevicePaged, CowSnapshotsStayIsolatedUnderShardedReplay)
     // holds (never reads or refcounts) the images while replay is in
     // flight.
     const Geometry g = multiGeometry();
-    const EngineConfig cfg = EngineConfig::sharded(2)
+    const EngineConfig cfg = EngineConfig{}.withThreads(2)
                                  .withPipeline()
                                  .withDevices(4)
                                  .withStorage(XbarStorage::Paged);
     Simulator pre(g);     // frozen pre-replay reference (never run)
-    Simulator oracle(g);  // serial monolithic oracle for the stream
+    Reference<Simulator> oracle(g);  // monolithic reference
     SimulatorGroup grp(g, cfg);
     Rng seedRng(52025);
     for (uint32_t xb = 0; xb < g.numCrossbars; ++xb)
@@ -517,18 +502,18 @@ TEST(MultiDevicePaged, CowSnapshotsStayIsolatedUnderShardedReplay)
 TEST(MultiDeviceGroup, DevicesClampToGeometryAndValidate)
 {
     const Geometry g = testGeometry();  // 4 crossbars
-    SimulatorGroup grp(g, EngineConfig::serial().withDevices(16));
+    SimulatorGroup grp(g, EngineConfig{}.withDevices(16));
     EXPECT_EQ(grp.devices(), 4u);  // clamped: one crossbar each
     EXPECT_EQ(grp.crossbarsPerDevice(), 1u);
     EXPECT_THROW(
-        SimulatorGroup(g, EngineConfig::serial().withDevices(3)),
+        SimulatorGroup(g, EngineConfig{}.withDevices(3)),
         Error);
 }
 
 TEST(MultiDeviceGroup, SubDeviceCrossbarAccessIsSliceChecked)
 {
     const Geometry g = multiGeometry();
-    SimulatorGroup grp(g, EngineConfig::serial().withDevices(4));
+    SimulatorGroup grp(g, EngineConfig{}.withDevices(4));
     EXPECT_EQ(grp.sub(1).sliceLo(), 4u);
     EXPECT_EQ(grp.sub(1).sliceCount(), 4u);
     EXPECT_TRUE(grp.sub(1).ownsCrossbar(5));
@@ -536,11 +521,11 @@ TEST(MultiDeviceGroup, SubDeviceCrossbarAccessIsSliceChecked)
     EXPECT_THROW(grp.sub(1).crossbar(3), Error);
     EXPECT_NO_THROW(grp.crossbar(3));  // routed to sub-device 0
     // Slice bounds validate without unsigned wrap-around.
-    EXPECT_THROW(Simulator(g, EngineConfig::serial(), 2,
+    EXPECT_THROW(Simulator(g, EngineConfig{}, 2,
                            g.numCrossbars),
                  Error);
-    EXPECT_THROW(Simulator(g, EngineConfig::serial(), 0, 0), Error);
-    EXPECT_THROW(Simulator(g, EngineConfig::serial(), g.numCrossbars,
+    EXPECT_THROW(Simulator(g, EngineConfig{}, 0, 0), Error);
+    EXPECT_THROW(Simulator(g, EngineConfig{}, g.numCrossbars,
                            1),
                  Error);
 }
@@ -614,7 +599,7 @@ TEST(SocketParity, FuzzedMoveHeavyStreamsMatchInproc)
     for (uint32_t devices : {2u, 4u}) {
         for (const XbarStorage st :
              {XbarStorage::Dense, XbarStorage::Paged}) {
-            const EngineConfig base = EngineConfig::serial()
+            const EngineConfig base = EngineConfig{}
                                           .withDevices(devices)
                                           .withStorage(st);
             SimulatorGroup inproc(g, base);
@@ -678,7 +663,7 @@ TEST(SocketParity, WarmTraceCacheShipsEachSignatureOncePerWorker)
     const Geometry g = multiGeometry();
     for (uint32_t devices : {2u, 4u}) {
         const EngineConfig base =
-            EngineConfig::serial().withDevices(devices);
+            EngineConfig{}.withDevices(devices);
         SimulatorGroup inproc(g, base);
         SimulatorGroup socket(
             g, base.withTransport(TransportKind::Socket));

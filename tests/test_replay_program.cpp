@@ -3,13 +3,13 @@
  * Compiled replay program tests (sim/replay_program.hpp).
  *
  * The compiled path must be an invisible optimisation: for any
- * self-contained stream, a trace prepared with
- * EngineConfig::compiledReplay replays BIT-IDENTICALLY to the
- * interpreter — same crossbar state, same architectural Stats, same
- * applied-work totals in the sharded engine's diagnostics — across
- * every engine, sync and pipelined, at 1/2/4 devices and on both
- * storage representations. The fuzzed suite pins that equivalence
- * against the serial raw-stream oracle; the directed tests pin the
+ * self-contained stream, a compiled trace replays BIT-IDENTICALLY to
+ * the same trace prepared with compilation switched off (the
+ * interpreter) — same crossbar state, same architectural Stats, same
+ * applied-work totals in the engine's diagnostics — at 1 and 2
+ * threads, sync and pipelined, at 1/2/4 devices and on both storage
+ * representations. The fuzzed suite pins that equivalence against the
+ * op-major reference on the raw stream; the directed tests pin the
  * COMPILER's decisions — when LogicH ops may and may not merge into
  * one pass (mask change, section capacity, stateful-gate aliasing),
  * how stripes and LogicV runs chunk, and when the all-ones mask
@@ -23,7 +23,7 @@
 #include "pim/pypim.hpp"
 #include "sim/device_group.hpp"
 #include "sim/replay_program.hpp"
-#include "sim/sharded_engine.hpp"
+#include "reference_engine.hpp"
 
 using namespace pypim;
 
@@ -38,26 +38,20 @@ fuzzGeometry()
     return g;
 }
 
-struct EngineCase
-{
-    const char *name;
-    EngineConfig cfg;
-};
+using test::engineCase;
+using test::EngineCase;
+using test::numEngineCases;
+using test::Reference;
 
-const EngineCase &
-engineCase(size_t i)
+/** prepareTrace with compilation switched off: the interpreter
+ *  oracle of the compiled executors. */
+template <typename Sink>
+std::shared_ptr<const BatchTrace>
+prepareInterpreted(Sink &sink, const std::vector<Word> &ops, bool fuse)
 {
-    static const EngineCase cases[] = {
-        {"serial", EngineConfig::serial()},
-        {"trace", EngineConfig::trace()},
-        {"sharded", EngineConfig::sharded(2)},
-        {"serial+pipe", EngineConfig::serial().withPipeline()},
-        {"trace+pipe", EngineConfig::trace().withPipeline()},
-        {"sharded+pipe", EngineConfig::sharded(2).withPipeline()},
-    };
-    return cases[i];
+    test::InterpretedReplay off;
+    return sink.prepareTrace(ops.data(), ops.size(), fuse);
 }
-constexpr size_t numEngineCases = 6;
 
 /** Random valid Range over [0, limit). */
 Range
@@ -205,7 +199,7 @@ seedState(Sink &s, uint64_t seed, const Geometry &g)
 
 /**
  * Directed-stream helper: full crossbar mask + the given row mask,
- * then @p body, compiled through prepareTrace on a serial simulator.
+ * then @p body, compiled through prepareTrace on a simulator.
  */
 std::shared_ptr<const BatchTrace>
 compileStream(const Geometry &g, const Range &rowMask,
@@ -217,7 +211,7 @@ compileStream(const Geometry &g, const Range &rowMask,
             .encode());
     ops.push_back(MicroOp::rowMask(rowMask).encode());
     ops.insert(ops.end(), body.begin(), body.end());
-    Simulator sim(g, EngineConfig::serial());
+    Simulator sim(g, EngineConfig{});
     auto trace = sim.prepareTrace(ops.data(), ops.size(), fuse);
     EXPECT_NE(trace, nullptr);
     return trace;
@@ -259,21 +253,21 @@ TEST_P(ReplayProgramFuzz, CompiledReplayBitIdenticalToInterpreter)
         for (uint32_t devices : {1u, 2u, 4u}) {
             const EngineConfig base =
                 ec.cfg.withStorage(storage).withDevices(devices);
-            // Raw-stream serial reference, interpreter replay, and
-            // compiled replay of ONE stream from ONE seeded state.
-            Simulator oracle(g);
-            SimulatorGroup interp(g, base.withCompiledReplay(false));
-            SimulatorGroup compiled(g, base.withCompiledReplay(true));
+            // Raw-stream reference, interpreter replay, and compiled
+            // replay of ONE stream from ONE seeded state.
+            Reference<Simulator> oracle(g);
+            SimulatorGroup interp(g, base);
+            SimulatorGroup compiled(g, base);
             seedState(oracle, seed, g);
             seedState(interp, seed, g);
             seedState(compiled, seed, g);
 
-            auto ti = interp.prepareTrace(ops.data(), ops.size(), true);
+            auto ti = prepareInterpreted(interp, ops, true);
             auto tc =
                 compiled.prepareTrace(ops.data(), ops.size(), true);
             ASSERT_NE(ti, nullptr);
             ASSERT_NE(tc, nullptr);
-            // The knob decides at freeze: programs only when on.
+            // The switch decides at freeze: programs only when on.
             EXPECT_TRUE(ti->programs.empty());
             ASSERT_EQ(tc->programs.size(), tc->used);
 
@@ -310,7 +304,7 @@ TEST_P(ReplayProgramFuzz, CompiledReplayUnderSnapshots)
     // mid-stream then shares every run: replay
     // must clone instead of writing through it, and must materialise
     // exactly the blocks the per-block kernels would. Unfused, the
-    // raw-stream serial oracle (masked per-block kernels only) is
+    // raw-stream reference (masked per-block kernels only) is
     // that reference; fused, dead-INIT folding legitimately changes
     // which blocks materialise, so the fused interpreter is.
     const auto [seed, caseIdx] = GetParam();
@@ -328,15 +322,15 @@ TEST_P(ReplayProgramFuzz, CompiledReplayUnderSnapshots)
     const auto check = [&](bool fuse, uint32_t devices) {
         const EngineConfig base = ec.cfg.withStorage(XbarStorage::Paged)
                                       .withDevices(devices);
-        Simulator oracle(g);
-        Simulator atSnapshot(g);  // stops at the snapshot point
-        SimulatorGroup interp(g, base.withCompiledReplay(false));
-        SimulatorGroup compiled(g, base.withCompiledReplay(true));
+        Reference<Simulator> oracle(g);
+        Reference<Simulator> atSnapshot(g);  // stops at the snapshot
+        SimulatorGroup interp(g, base);
+        SimulatorGroup compiled(g, base);
         seedHalf(oracle);
         seedHalf(atSnapshot);
         seedHalf(interp);
         seedHalf(compiled);
-        auto ti = interp.prepareTrace(ops.data(), ops.size(), fuse);
+        auto ti = prepareInterpreted(interp, ops, fuse);
         auto tc = compiled.prepareTrace(ops.data(), ops.size(), fuse);
         ASSERT_NE(ti, nullptr);
         ASSERT_NE(tc, nullptr);
@@ -416,19 +410,14 @@ TEST(ReplayProgramWork, ShardedDiagnosticsConservedAcrossCompilation)
     const std::vector<Word> ops = randomTraceStream(rng, g, 200);
     Stats totals[2];
     for (bool on : {false, true}) {
-        Simulator sim(
-            g, EngineConfig::sharded(3).withCompiledReplay(on));
+        Simulator sim(g, EngineConfig{}.withThreads(3));
         seedState(sim, 4242, g);
-        auto trace = sim.prepareTrace(ops.data(), ops.size(), true);
+        auto trace = on ? sim.prepareTrace(ops.data(), ops.size(), true)
+                        : prepareInterpreted(sim, ops, true);
         ASSERT_NE(trace, nullptr);
         for (int rep = 0; rep < 2; ++rep)
             sim.submitTrace(trace);
-        const auto &eng =
-            dynamic_cast<const ShardedEngine &>(sim.engine());
-        Stats merged;
-        for (const Stats &w : eng.shardWork())
-            merged += w;
-        totals[on ? 1 : 0] = merged;
+        totals[on ? 1 : 0] = Stats::merged(sim.engine().shardWork());
     }
     EXPECT_EQ(totals[0], totals[1]);
     EXPECT_GT(totals[1].opCount[static_cast<size_t>(OpClass::LogicH)],
@@ -575,7 +564,7 @@ TEST(ReplayProgramCompile, StripesAndVRunsArePrechunked)
     EXPECT_EQ(pv.workLogicV, 4u);
 }
 
-TEST(ReplayProgramCompile, KnobOffLeavesTraceUncompiled)
+TEST(ReplayProgramCompile, SwitchOffLeavesTraceUncompiled)
 {
     const Geometry g = testGeometry();
     std::vector<Word> ops = {
@@ -583,14 +572,12 @@ TEST(ReplayProgramCompile, KnobOffLeavesTraceUncompiled)
             .encode(),
         MicroOp::rowMask(Range(0, g.rows - 1, 1)).encode(),
         initH(g, Gate::Init1, 0)};
-    Simulator sim(g,
-                  EngineConfig::serial().withCompiledReplay(false));
-    auto trace = sim.prepareTrace(ops.data(), ops.size(), true);
+    Simulator sim(g);
+    auto trace = prepareInterpreted(sim, ops, true);
     ASSERT_NE(trace, nullptr);
     EXPECT_TRUE(trace->programs.empty());
-    // setEngine re-applies the knob: a swap to a compiled config
-    // makes the NEXT prepare compile.
-    sim.setEngine(EngineConfig::serial().withCompiledReplay(true));
+    // The switch is read at freeze: once it is back on, the NEXT
+    // prepare compiles.
     auto trace2 = sim.prepareTrace(ops.data(), ops.size(), true);
     ASSERT_NE(trace2, nullptr);
     EXPECT_EQ(trace2->programs.size(), trace2->used);

@@ -5,7 +5,7 @@
  * merging and windowed INIT1->NOR/NOT fusion must fire exactly on the
  * legal patterns (counters checked), never on the alias/conflict
  * negatives, and every prepared trace — fused or not — must replay
- * bit-identically to the serial oracle, repeatedly, on synchronous
+ * bit-identically to the op-major reference, repeatedly, on synchronous
  * and pipelined simulators.
  */
 #include <gtest/gtest.h>
@@ -15,6 +15,7 @@
 #include "common/rng.hpp"
 #include "sim/batch_trace.hpp"
 #include "sim/simulator.hpp"
+#include "reference_engine.hpp"
 
 using namespace pypim;
 
@@ -67,7 +68,7 @@ sameCrossbarState(const Simulator &a, const Simulator &b)
 
 /**
  * Prepare the stream fused and unfused, check the fusion counters,
- * and assert both replay bit-identically to the serial oracle (state
+ * and assert both replay bit-identically to the reference (state
  * and architectural stats).
  */
 void
@@ -76,7 +77,7 @@ expectFusionParity(const std::vector<Word> &ops, uint64_t waw,
                    uint64_t writeStripe = 0)
 {
     const Geometry g = fusionGeometry();
-    Simulator oracle(g);
+    test::Reference<Simulator> oracle(g);
     for (const bool fuse : {false, true}) {
         Simulator cand(g);
         seedState(oracle, cand, 99);
@@ -417,7 +418,7 @@ TEST(TraceFusion, PreparedTraceReplaysRepeatedly)
             laneNor(g, 0, 2, 3), laneInit1(g, 5),
             MicroOp::write(6, 0x42424242u).encode(),
             laneNor(g, 3, 6, 5)});
-    Simulator oracle(g);
+    test::Reference<Simulator> oracle(g);
     Simulator cand(g);
     seedState(oracle, cand, 4242);
     const auto trace = cand.prepareTrace(ops.data(), ops.size(), true);
@@ -437,8 +438,8 @@ TEST(TraceFusion, PipelinedSubmitTraceMatchesOracle)
         g, {MicroOp::write(2, 0xCAFED00Du).encode(), laneInit1(g, 3),
             MicroOp::write(4, 0x10101010u).encode(),
             laneNor(g, 0, 2, 3)});
-    Simulator oracle(g);
-    Simulator cand(g, EngineConfig::sharded(2).withPipeline());
+    test::Reference<Simulator> oracle(g);
+    Simulator cand(g, EngineConfig{}.withThreads(2).withPipeline());
     seedState(oracle, cand, 777);
     const auto trace = cand.prepareTrace(ops.data(), ops.size(), true);
     ASSERT_TRUE(trace != nullptr);

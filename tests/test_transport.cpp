@@ -29,6 +29,7 @@
 #include "sim/serialize.hpp"
 #include "sim/trace_wire.hpp"
 #include "sim/transport.hpp"
+#include "reference_engine.hpp"
 
 using namespace pypim;
 
@@ -226,9 +227,15 @@ TEST(TraceWire, RoundTripRebuildsIdenticalTrace)
     const HTree ht(g.numCrossbars);
     const std::vector<Word> ops = tracedStream(g);
     for (const bool compiled : {false, true}) {
-        const std::shared_ptr<const BatchTrace> t = buildWireTrace(
-            ops.data(), ops.size(), true, compiled, g, ht);
+        std::shared_ptr<const BatchTrace> t;
+        if (compiled) {
+            t = buildWireTrace(ops.data(), ops.size(), true, g, ht);
+        } else {
+            test::InterpretedReplay off;
+            t = buildWireTrace(ops.data(), ops.size(), true, g, ht);
+        }
         ASSERT_TRUE(t);
+        EXPECT_EQ(t->programs.empty(), !compiled);
         EXPECT_EQ(t->wireSig,
                   traceSignature(ops.data(), ops.size(), true));
         const std::vector<uint8_t> img = encodeTraceWire(*t);
@@ -247,7 +254,7 @@ TEST(TraceWire, StreamWithoutLeadingMasksIsNotWireable)
     const Geometry g = testGeometry();
     const HTree ht(g.numCrossbars);
     const std::vector<Word> ops = {MicroOp::write(2, 7).encode()};
-    EXPECT_EQ(buildWireTrace(ops.data(), ops.size(), true, true, g, ht),
+    EXPECT_EQ(buildWireTrace(ops.data(), ops.size(), true, g, ht),
               nullptr);
 }
 
@@ -260,8 +267,9 @@ TEST(TraceWire, EveryBitFlipIsRejected)
     const Geometry g = testGeometry();
     const HTree ht(g.numCrossbars);
     const std::vector<Word> ops = tracedStream(g);
+    test::InterpretedReplay off;
     const std::shared_ptr<const BatchTrace> t =
-        buildWireTrace(ops.data(), ops.size(), true, false, g, ht);
+        buildWireTrace(ops.data(), ops.size(), true, g, ht);
     ASSERT_TRUE(t);
     const std::vector<uint8_t> img = encodeTraceWire(*t);
     for (size_t i = 0; i < img.size(); ++i) {
@@ -281,7 +289,7 @@ TEST(TraceWire, EveryTruncationIsRejected)
     const HTree ht(g.numCrossbars);
     const std::vector<Word> ops = tracedStream(g);
     const std::shared_ptr<const BatchTrace> t =
-        buildWireTrace(ops.data(), ops.size(), true, true, g, ht);
+        buildWireTrace(ops.data(), ops.size(), true, g, ht);
     ASSERT_TRUE(t);
     std::vector<uint8_t> img = encodeTraceWire(*t);
     for (size_t n = 0; n < img.size(); ++n)
@@ -298,7 +306,7 @@ TEST(TraceWire, WrongGeometryIsRejected)
     const HTree ht(g.numCrossbars);
     const std::vector<Word> ops = tracedStream(g);
     const std::shared_ptr<const BatchTrace> t =
-        buildWireTrace(ops.data(), ops.size(), true, true, g, ht);
+        buildWireTrace(ops.data(), ops.size(), true, g, ht);
     ASSERT_TRUE(t);
     const std::vector<uint8_t> img = encodeTraceWire(*t);
     Geometry g2 = g;
@@ -322,7 +330,7 @@ TEST(SocketFleet, TraceCrossesTheWireOncePerWorker)
     PYPIM_SKIP_UNDER_TSAN();
     Geometry g = testGeometry();
     g.numCrossbars = 16;
-    const EngineConfig cfg = EngineConfig::serial()
+    const EngineConfig cfg = EngineConfig{}
                                  .withDevices(2)
                                  .withTransport(TransportKind::Socket);
     SimulatorGroup grp(g, cfg);
@@ -346,7 +354,7 @@ TEST(SocketFleet, TraceCrossesTheWireOncePerWorker)
     // Same trace replayed by the in-process group: the architectural
     // stats and the canonical state image must be bit-identical (the
     // wire counters live OUTSIDE Stats precisely to keep this true).
-    SimulatorGroup ref(g, EngineConfig::serial().withDevices(2));
+    SimulatorGroup ref(g, EngineConfig{}.withDevices(2));
     const std::shared_ptr<const BatchTrace> refTrace =
         ref.prepareTrace(ops.data(), ops.size(), true);
     ASSERT_TRUE(refTrace);
@@ -363,7 +371,7 @@ TEST(SocketFleet, KilledWorkerSurfacesAsDeviceFaultAndRestores)
     PYPIM_SKIP_UNDER_TSAN();
     Geometry g = testGeometry();
     g.numCrossbars = 16;
-    const EngineConfig cfg = EngineConfig::serial()
+    const EngineConfig cfg = EngineConfig{}
                                  .withDevices(2)
                                  .withTransport(TransportKind::Socket);
     SimulatorGroup grp(g, cfg);
@@ -399,7 +407,7 @@ TEST(SocketFleet, InjectedFaultIsRecoveredAcrossTheWire)
     PYPIM_SKIP_UNDER_TSAN();
     Geometry g = testGeometry();
     g.numCrossbars = 16;
-    const EngineConfig socket = EngineConfig::serial()
+    const EngineConfig socket = EngineConfig{}
                                     .withDevices(2)
                                     .withTransport(TransportKind::Socket);
     // The worker hits fail=N, goes sticky, and replies a typed
