@@ -60,6 +60,16 @@ Driver::setTraceFusionEnabled(bool on)
         kv.second.trace.reset();
 }
 
+size_t
+Driver::traceCacheBytes() const
+{
+    size_t b = 0;
+    for (const auto &kv : streamCache_)
+        if (kv.second.trace)
+            b += kv.second.trace->bytes();
+    return b;
+}
+
 std::vector<uint8_t>
 Driver::exportStreamCache() const
 {

@@ -85,6 +85,13 @@ class Driver
     bool traceCacheEnabled() const { return traceCacheOn_; }
 
     /**
+     * Heap bytes held by the cached trace handles (BatchTrace::bytes
+     * summed; the sink's shared HalfGatesTable is reported by the
+     * sink, not here). Host-side observability, not part of Stats.
+     */
+    size_t traceCacheBytes() const;
+
+    /**
      * Enable/disable the window fusion pass applied to freshly built
      * traces (ablation knob). Changing it drops the cached trace
      * handles — they were optimised under the old setting — while the

@@ -4,6 +4,7 @@
 
 #include "common/error.hpp"
 #include "sim/engine.hpp"
+#include "sim/half_gates_table.hpp"
 #include "sim/htree.hpp"
 #include "uarch/partition.hpp"
 
@@ -28,10 +29,58 @@ leadsWithMasks(const Word *ops, size_t n)
     return xb && row;
 }
 
+size_t
+BatchTrace::bytes() const
+{
+    size_t b = sizeof(BatchTrace) + items.capacity() * sizeof(Item) +
+               segments.capacity() * sizeof(SegmentTrace) +
+               programs.capacity() * sizeof(ReplayProgram) +
+               sourceOps.capacity() * sizeof(Word);
+    for (const SegmentTrace &t : segments) {
+        b += t.ops.capacity() * sizeof(TraceOp) +
+             t.rowWords.capacity() * sizeof(uint64_t) +
+             t.rowMaskFull.capacity() * sizeof(uint8_t) +
+             t.writePairs.capacity() * sizeof(StripeWrite) +
+             t.merged.capacity() * sizeof(t.merged[0]) +
+             t.merged.size() * sizeof(HalfGates);
+    }
+    for (const ReplayProgram &p : programs) {
+        b += p.instrs.capacity() * sizeof(ReplayProgram::Instr) +
+             p.sections.capacity() * sizeof(ReplayProgram::PSection) +
+             p.pairs.capacity() * sizeof(StripeWrite) +
+             p.vgates.capacity() * sizeof(ReplayProgram::VGate) +
+             p.maskWords.capacity() * sizeof(uint64_t);
+    }
+    return b;
+}
+
 void
-buildBatchTrace(const Word *ops, size_t n, const Geometry &geo,
+BatchTrace::shrinkToFit()
+{
+    segments.resize(used);
+    for (SegmentTrace &t : segments) {
+        t.ops.shrink_to_fit();
+        t.rowWords.shrink_to_fit();
+        t.rowMaskFull.shrink_to_fit();
+        t.writePairs.shrink_to_fit();
+    }
+    for (ReplayProgram &p : programs) {
+        p.instrs.shrink_to_fit();
+        p.sections.shrink_to_fit();
+        p.pairs.shrink_to_fit();
+        p.vgates.shrink_to_fit();
+        p.maskWords.shrink_to_fit();
+    }
+    items.shrink_to_fit();
+}
+
+void
+buildBatchTrace(const Word *ops, size_t n,
+                const std::shared_ptr<HalfGatesTable> &table,
                 const HTree &htree, MaskState &mask, BatchTrace &batch)
 {
+    const Geometry &geo = table->geometry();
+    batch.halfGates = table;
     batch.geoRows = geo.rows;
     batch.geoCols = geo.cols;
     batch.geoPartitions = geo.partitions;
@@ -64,7 +113,7 @@ buildBatchTrace(const Word *ops, size_t n, const Geometry &geo,
         while (j < n && !isBarrierOp(enc::peekType(ops[j])))
             ++j;
         SegmentTrace &trace = batch.nextSegment(geo.rows);
-        buildSegmentTrace(ops + i, j - i, geo, mask, batch.stats,
+        buildSegmentTrace(ops + i, j - i, *table, mask, batch.stats,
                           trace);
         if (trace.empty()) {
             --batch.used;  // mask-only segment: arena back to the pool
@@ -92,7 +141,7 @@ namespace
  * fusions, never correctness).
  */
 void
-fuseSegment(SegmentTrace &t, const Geometry &geo,
+fuseSegment(SegmentTrace &t, HalfGatesTable &table,
             BatchTrace::Fusion &fusion)
 {
     // Candidates more than kWindow ops back are dropped: the driver's
@@ -103,10 +152,14 @@ fuseSegment(SegmentTrace &t, const Geometry &geo,
     const size_t n = t.ops.size();
     if (n < 2)
         return;
+    const Geometry &geo = table.geometry();
     const uint32_t pw = geo.partitionWidth();
     std::vector<int64_t> touched(geo.cols, -1);
     std::vector<int64_t> lastWrite(geo.slots(), -1);
     std::vector<uint8_t> dead(n, 0);
+    /** Op's expansion is a trace-owned merge result, not a table
+     *  entry (so its fusability is not memoised). */
+    std::vector<uint8_t> owned(n, 0);
     std::vector<size_t> initWindow;  //!< live un-fused INIT1 indices
 
     // Every column op index j reads or writes.
@@ -121,7 +174,7 @@ fuseSegment(SegmentTrace &t, const Geometry &geo,
                 fn(p * pw + op.index);
             break;
           case OpType::LogicH: {
-            const HalfGates &hg = t.halfGates[op.hg];
+            const HalfGates &hg = *op.hg;
             for (uint32_t s = 0; s < hg.numSections; ++s) {
                 const Section &sec = hg.sections[s];
                 if (!sec.active())
@@ -172,9 +225,8 @@ fuseSegment(SegmentTrace &t, const Geometry &geo,
 
     for (size_t j = 0; j < n; ++j) {
         TraceOp &op = t.ops[j];
-        const Gate hgGate = op.type == OpType::LogicH
-                                ? t.halfGates[op.hg].gate
-                                : Gate::Init0;
+        const Gate hgGate =
+            op.type == OpType::LogicH ? op.hg->gate : Gate::Init0;
         const bool isInit1 = op.type == OpType::LogicH &&
                              !op.fusedInit && hgGate == Gate::Init1;
         const bool isGate =
@@ -212,8 +264,9 @@ fuseSegment(SegmentTrace &t, const Geometry &geo,
                 if (init.xb != op.xb ||
                     !rowEqual(init.rowMask, op.rowMask))
                     continue;
-                const HalfGates &ih = t.halfGates[init.hg];
-                if (!fusableInitNor(ih, t.halfGates[op.hg]))
+                const HalfGates &ih = *init.hg;
+                if (owned[i] ? !fusableInitNor(ih, *op.hg)
+                             : !table.fusable(ih, *op.hg))
                     continue;
                 if (!outsUntouchedSince(ih,
                                         static_cast<int64_t>(i)))
@@ -227,6 +280,8 @@ fuseSegment(SegmentTrace &t, const Geometry &geo,
             // INIT1 chain: fold an earlier INIT1 into this one by
             // appending its sections (independent columns; INIT1 on a
             // shared column is idempotent, so overlap is harmless).
+            // The sections go into a trace-owned copy: op.hg is a
+            // table entry other ops and traces share.
             for (auto it = initWindow.rbegin();
                  it != initWindow.rend(); ++it) {
                 const size_t i = *it;
@@ -236,20 +291,23 @@ fuseSegment(SegmentTrace &t, const Geometry &geo,
                 if (init.xb != op.xb ||
                     !rowEqual(init.rowMask, op.rowMask))
                     continue;
-                const HalfGates &src = t.halfGates[init.hg];
-                HalfGates &dst = t.halfGates[op.hg];
+                const HalfGates &src = *init.hg;
                 uint32_t active = 0;
                 for (uint32_t s = 0; s < src.numSections; ++s)
                     active += src.sections[s].active() ? 1 : 0;
-                if (dst.numSections + active > maxPartitions)
+                if (op.hg->numSections + active > maxPartitions)
                     continue;  // section arena full: skip this pair
                 if (!outsUntouchedSince(src,
                                         static_cast<int64_t>(i)))
                     continue;
+                t.merged.push_back(std::make_unique<HalfGates>(*op.hg));
+                HalfGates &dst = *t.merged.back();
                 for (uint32_t s = 0; s < src.numSections; ++s)
                     if (src.sections[s].active())
                         dst.sections[dst.numSections++] =
                             src.sections[s];
+                op.hg = &dst;
+                owned[j] = 1;
                 dead[i] = 1;
                 ++fusion.initChain;
                 break;
@@ -344,10 +402,12 @@ mergeWriteStripes(SegmentTrace &t, BatchTrace::Fusion &fusion)
 } // namespace
 
 void
-fuseBatchTrace(BatchTrace &batch, const Geometry &geo)
+fuseBatchTrace(BatchTrace &batch, HalfGatesTable &table)
 {
+    panicIf(batch.halfGates.get() != &table,
+            "fuseBatchTrace: batch was built with another table");
     for (uint32_t s = 0; s < batch.used; ++s) {
-        fuseSegment(batch.segments[s], geo, batch.fusion);
+        fuseSegment(batch.segments[s], table, batch.fusion);
         mergeWriteStripes(batch.segments[s], batch.fusion);
     }
 }

@@ -19,6 +19,15 @@
  *    pure replay with zero decode work. Refcounting keeps in-flight
  *    pipelined replays alive even if the owning cache is cleared.
  *
+ * Either way the LogicH ops point into the HalfGatesTable the batch
+ * was built with (sim/half_gates_table.hpp), and the batch holds that
+ * table by shared_ptr, so a frozen trace keeps its expansions alive
+ * after the simulator that built it is gone. SimulatorGroup::prepareTrace builds
+ * on sub-device 0 and every sub-device replays the result: the
+ * sub-devices share the group's table, and replay only reads it.
+ * Sharing instead of copying per op is what keeps the cache small
+ * (measured in sim/half_gates_table.hpp).
+ *
  * Because the expensive translation now runs once per signature, it
  * can afford a real optimisation pass: fuseBatchTrace() is a
  * window-based peephole over each segment that eliminates
@@ -31,7 +40,9 @@
 #ifndef PYPIM_SIM_BATCH_TRACE_HPP
 #define PYPIM_SIM_BATCH_TRACE_HPP
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/config.hpp"
@@ -44,6 +55,7 @@
 namespace pypim
 {
 
+class HalfGatesTable;
 class HTree;
 
 /**
@@ -79,6 +91,8 @@ struct BatchTrace
 
     std::vector<Item> items;
     std::vector<SegmentTrace> segments;
+    /** Owner of the expansions the segments' LogicH ops point at. */
+    std::shared_ptr<const HalfGatesTable> halfGates;
     uint32_t used = 0;  //!< segment arenas in use this batch
     /**
      * Compiled form of segments[0..used), filled by compileBatchTrace
@@ -135,11 +149,26 @@ struct BatchTrace
         return seg < programs.size() ? &programs[seg] : nullptr;
     }
 
+    /**
+     * Heap bytes this batch holds: its own arenas (capacity, not
+     * size), compiled programs and source stream. The shared
+     * HalfGatesTable is not counted; see HalfGatesTable::bytes.
+     */
+    size_t bytes() const;
+
+    /**
+     * Release spare arena capacity. Called once when a trace is
+     * frozen for the cache: it never grows again, and building and
+     * fusing leave the arenas up to twice their final size.
+     */
+    void shrinkToFit();
+
     void
     clear()
     {
         items.clear();
         used = 0;
+        halfGates.reset();
         programs.clear();
         stats.clear();
         finalXb = Range();
@@ -164,13 +193,17 @@ bool leadsWithMasks(const Word *ops, size_t n);
 
 /**
  * Decode the batch @p ops[0..n) into @p batch (which the caller has
- * clear()ed): segments via buildSegmentTrace, barrier Moves validated
- * and snapshotted, data-less Reads validated and absorbed. Records
- * the architectural stats into batch.stats — including the valid
- * prefix when a malformed op throws — and advances @p mask past the
- * stream, capturing the final state in the batch.
+ * clear()ed) for the geometry of @p table: segments via
+ * buildSegmentTrace, barrier Moves validated and snapshotted,
+ * data-less Reads validated and absorbed. LogicH expansions are
+ * interned in @p table, which the batch then holds. Records the
+ * architectural stats into batch.stats — including the valid prefix
+ * when a malformed op throws — and advances @p mask past the stream,
+ * capturing the final state in the batch. Runs on the table's writer
+ * thread.
  */
-void buildBatchTrace(const Word *ops, size_t n, const Geometry &geo,
+void buildBatchTrace(const Word *ops, size_t n,
+                     const std::shared_ptr<HalfGatesTable> &table,
                      const HTree &htree, MaskState &mask,
                      BatchTrace &batch);
 
@@ -185,7 +218,9 @@ void buildBatchTrace(const Word *ops, size_t n, const Geometry &geo,
  *  - INIT1 chain merging: an INIT1 is folded into a later INIT1 under
  *    identical masks by appending its half-gate sections (INIT
  *    sections are independent per column and INIT1 is idempotent), as
- *    long as nothing touches its output columns in between.
+ *    long as nothing touches its output columns in between. The
+ *    sections go into a trace-owned copy (SegmentTrace::merged); the
+ *    shared table entry other traces point at is never written.
  *  - Windowed INIT1->NOR/NOT fusion: the builder's adjacent fusion
  *    generalised — the INIT may sit several ops back, provided masks
  *    match, the alias guard holds (fusableInitNor) and no intervening
@@ -204,8 +239,10 @@ void buildBatchTrace(const Word *ops, size_t n, const Geometry &geo,
  *
  * Counters for the eliminated ops accumulate into batch.fusion;
  * batch.stats is untouched (fusion changes applied work only).
+ * @p table is the one the batch was built with; it memoises the
+ * INIT1->NOR/NOT fusability checks, so this runs on its writer thread.
  */
-void fuseBatchTrace(BatchTrace &batch, const Geometry &geo);
+void fuseBatchTrace(BatchTrace &batch, HalfGatesTable &table);
 
 } // namespace pypim
 

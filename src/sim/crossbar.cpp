@@ -833,7 +833,7 @@ Crossbar::replaySegment(const SegmentTrace &trace, uint32_t self,
             break;
           }
           case OpType::LogicH: {
-            const HalfGates &hg = trace.halfGates[op.hg];
+            const HalfGates &hg = *op.hg;
             const bool full = trace.rowMaskFull[op.rowMask] != 0;
             if (op.fusedInit) {
                 if (full)

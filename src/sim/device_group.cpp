@@ -10,6 +10,7 @@
 #include "sim/bulk_io.hpp"
 #include "sim/engine.hpp"
 #include "sim/fault.hpp"
+#include "sim/half_gates_table.hpp"
 #include "sim/trace_wire.hpp"
 
 namespace pypim
@@ -20,6 +21,7 @@ SimulatorGroup::SimulatorGroup(const Geometry &geo,
     : geo_(geo)
 {
     geo_.validate();
+    halfGates_ = std::make_shared<HalfGatesTable>(geo_);
     uint32_t n = std::max(1u, ec.devices);
     fatalIf(!isPow2(n),
             "devices: " + std::to_string(n) +
@@ -59,7 +61,7 @@ SimulatorGroup::SimulatorGroup(const Geometry &geo,
     sims_.reserve(n);
     for (uint32_t d = 0; d < n; ++d)
         sims_.push_back(std::make_unique<Simulator>(
-            geo_, sub, d * perDevice_, perDevice_));
+            geo_, sub, d * perDevice_, perDevice_, halfGates_));
 
     // Fault tolerance: the spec is validated HERE (a PYPIM_FAULTS
     // typo throws at device construction, never silently runs
@@ -413,7 +415,7 @@ SimulatorGroup::prepareTrace(const Word *ops, size_t n, bool fuse)
     // mirror and stamped with its wire identity, so submitTrace can
     // install it once per worker and replay by signature thereafter.
     if (remote())
-        return buildWireTrace(ops, n, fuse, geo_, *htree_);
+        return buildWireTrace(ops, n, fuse, halfGates_, *htree_);
     // Building touches no simulated state, and the handle is bound to
     // the (shared) geometry, not a slice: build once via sub-device 0.
     return sims_[0]->prepareTrace(ops, n, fuse);

@@ -209,6 +209,14 @@ class SimulatorGroup : public OperationSink
 
     const Traffic &traffic() const { return traffic_; }
 
+    /**
+     * The LogicH expansion table shared by every trace this group
+     * builds: the in-process sub-devices' (they share one) or, under
+     * the socket transport, the host's trace-build mirror's. Host-side
+     * observability; not part of the architectural Stats.
+     */
+    const HalfGatesTable &halfGatesTable() const { return *halfGates_; }
+
     /** Host-side wire counters: bytes, round trips, trace-cache wire
      *  hits, exchange latency (all zero under the inproc transport). */
     WireTelemetry
@@ -368,6 +376,10 @@ class SimulatorGroup : public OperationSink
     /** Socket transport (PYPIM_TRANSPORT=socket). Mutable: wire round
      *  trips bump telemetry even on const observability queries. */
     mutable std::unique_ptr<SocketTransport> transport_;
+    /** LogicH expansions of every trace built here: shared by the
+     *  in-process sub-devices, which are all fed from the caller's
+     *  thread, or the socket mode's trace-build mirror. */
+    std::shared_ptr<HalfGatesTable> halfGates_;
     /** Host-side trace-build mirror for prepareTrace (socket mode). */
     std::unique_ptr<HTree> htree_;
     /** Host shadow of the replicated crossbar mask (socket mode):

@@ -42,9 +42,10 @@ ExecutionEngine::ExecutionEngine(const Geometry &geo,
                                  std::vector<Crossbar> &xbs,
                                  uint32_t xbBase, const HTree &htree,
                                  MaskState &mask, Stats &stats,
+                                 HalfGatesTable &halfGates,
                                  uint32_t threads, bool pinWorkers)
     : geo_(geo), xbs_(xbs), xbBase_(xbBase), htree_(htree),
-      mask_(mask), stats_(stats),
+      mask_(mask), stats_(stats), halfGates_(halfGates),
       pool_(clampWorkers(threads, xbs.size()), pinWorkers,
             pinBaseOf(xbBase, xbs.size(),
                       clampWorkers(threads, xbs.size()))),
@@ -81,7 +82,8 @@ ExecutionEngine::execute(const Word *ops, size_t n)
         size_t j = i + 1;
         while (j < n && !isBarrierOp(enc::peekType(ops[j])))
             ++j;
-        buildSegmentTrace(ops + i, j - i, geo_, mask_, stats_, trace_);
+        buildSegmentTrace(ops + i, j - i, halfGates_, mask_, stats_,
+                          trace_);
         replayTrace(trace_);
         i = j;
     }
@@ -318,13 +320,14 @@ ExecutionEngine::applyMove(const MicroOp &op, const Range &xb)
 std::unique_ptr<ExecutionEngine>
 makeEngine(const EngineConfig &cfg, const Geometry &geo,
            std::vector<Crossbar> &xbs, uint32_t xbBase,
-           const HTree &htree, MaskState &mask, Stats &stats)
+           const HTree &htree, MaskState &mask, Stats &stats,
+           HalfGatesTable &halfGates)
 {
     if (const EngineFactory f = testEngineFactory.load())
-        return f(cfg, geo, xbs, xbBase, htree, mask, stats);
+        return f(cfg, geo, xbs, xbBase, htree, mask, stats, halfGates);
     return std::make_unique<ExecutionEngine>(
-        geo, xbs, xbBase, htree, mask, stats, cfg.resolvedThreads(),
-        cfg.affinity);
+        geo, xbs, xbBase, htree, mask, stats, halfGates,
+        cfg.resolvedThreads(), cfg.affinity);
 }
 
 void

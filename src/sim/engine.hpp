@@ -11,8 +11,9 @@
  *
  *  1. A batch splits into SEGMENTS at each Move/Read op.
  *  2. Each segment is decoded exactly once into a SegmentTrace by the
- *     shared pre-pass (sim/segment_trace.hpp): decoded ops with
- *     pre-expanded LogicH half-gates, mask ops absorbed into per-op
+ *     shared pre-pass (sim/segment_trace.hpp): decoded ops pointing
+ *     at their LogicH half-gate expansions, interned once per word in
+ *     the simulator's HalfGatesTable, mask ops absorbed into per-op
  *     crossbar-mask and row-mask snapshots, INIT+gate pairs fused.
  *     The pre-pass validates every op, records the architectural
  *     statistics and advances the authoritative mask state; it
@@ -61,6 +62,7 @@ namespace pypim
 
 struct BatchTrace;
 struct BulkIoSpec;
+class HalfGatesTable;
 struct ReplayProgram;
 
 /**
@@ -85,14 +87,17 @@ class ExecutionEngine
 {
   public:
     /**
-     * @p threads is the replay parallelism (clamped to [1, owned
-     * crossbars]); @p pinWorkers pins the spawned pool workers to
-     * distinct host cores (EngineConfig::affinity), a no-op on
-     * platforms without thread-affinity support.
+     * @p halfGates is the owning simulator's expansion table, which
+     * execute() interns into (on the calling thread). @p threads is
+     * the replay parallelism (clamped to [1, owned crossbars]);
+     * @p pinWorkers pins the spawned pool workers to distinct host
+     * cores (EngineConfig::affinity), a no-op on platforms without
+     * thread-affinity support.
      */
     ExecutionEngine(const Geometry &geo, std::vector<Crossbar> &xbs,
                     uint32_t xbBase, const HTree &htree,
-                    MaskState &mask, Stats &stats, uint32_t threads,
+                    MaskState &mask, Stats &stats,
+                    HalfGatesTable &halfGates, uint32_t threads,
                     bool pinWorkers = false);
 
     virtual ~ExecutionEngine() = default;
@@ -229,6 +234,7 @@ class ExecutionEngine
     const HTree &htree_;
     MaskState &mask_;
     Stats &stats_;
+    HalfGatesTable &halfGates_;
 
   private:
     /**
@@ -254,12 +260,13 @@ class ExecutionEngine
 std::unique_ptr<ExecutionEngine>
 makeEngine(const EngineConfig &cfg, const Geometry &geo,
            std::vector<Crossbar> &xbs, uint32_t xbBase,
-           const HTree &htree, MaskState &mask, Stats &stats);
+           const HTree &htree, MaskState &mask, Stats &stats,
+           HalfGatesTable &halfGates);
 
 /** Signature of makeEngine, for the test seam below. */
 using EngineFactory = std::unique_ptr<ExecutionEngine> (*)(
     const EngineConfig &, const Geometry &, std::vector<Crossbar> &,
-    uint32_t, const HTree &, MaskState &, Stats &);
+    uint32_t, const HTree &, MaskState &, Stats &, HalfGatesTable &);
 
 /**
  * Test seam: while @p f is set, makeEngine builds every engine

@@ -8,12 +8,14 @@ namespace pypim
 
 SimulatorPipeline::SimulatorPipeline(
     const Geometry &geo, const HTree &htree, MaskState &mask,
-    Stats &stats, std::unique_ptr<ExecutionEngine> &engine,
+    Stats &stats, std::shared_ptr<HalfGatesTable> halfGates,
+    std::unique_ptr<ExecutionEngine> &engine,
     std::function<void()> preReplay, std::function<void()> postReplay)
     : geo_(geo),
       htree_(htree),
       mask_(mask),
       stats_(stats),
+      halfGates_(std::move(halfGates)),
       engine_(engine),
       preReplay_(std::move(preReplay)),
       postReplay_(std::move(postReplay))
@@ -49,7 +51,7 @@ SimulatorPipeline::submit(const Word *ops, size_t n)
     BatchTrace &batch = buffers_[buf];
     batch.clear();
     try {
-        buildBatchTrace(ops, n, geo_, htree_, mask_, batch);
+        buildBatchTrace(ops, n, halfGates_, htree_, mask_, batch);
     } catch (...) {
         // Report the malformed op at the submitBatch that contained
         // it; none of this batch reached a crossbar, but the valid

@@ -36,7 +36,12 @@
  * the batch touches any crossbar (the same error-stream semantics as
  * the trace-based engines), and the consumer applies pre-validated
  * state changes only, so the two threads share no mutable state
- * outside the queue.
+ * outside the queue. The one structure both sides see is the
+ * simulator's HalfGatesTable (sim/half_gates_table.hpp): the producer
+ * appends new expansions while the consumer reads entries of batches
+ * queued earlier. Entries are immutable and never move, and each was
+ * inserted before the queue mutex released its batch, so the reads
+ * need no further synchronisation.
  *
  * Reads have no architectural state effect on the data-less path
  * (validate + count, response dropped), so they are absorbed at
@@ -68,6 +73,7 @@ namespace pypim
 {
 
 class ExecutionEngine;
+class HalfGatesTable;
 class HTree;
 class Crossbar;
 
@@ -86,10 +92,12 @@ class SimulatorPipeline
      * same try whose failure becomes the sticky error — the
      * fault-tolerance hook points (sim/simulator.hpp): verify the
      * pre-batch state checksums, then bless the post-batch state and
-     * let the fault injector corrupt it.
+     * let the fault injector corrupt it. Batches are built against
+     * @p halfGates, the owning simulator's expansion table.
      */
     SimulatorPipeline(const Geometry &geo, const HTree &htree,
                       MaskState &mask, Stats &stats,
+                      std::shared_ptr<HalfGatesTable> halfGates,
                       std::unique_ptr<ExecutionEngine> &engine,
                       std::function<void()> preReplay = nullptr,
                       std::function<void()> postReplay = nullptr);
@@ -160,6 +168,7 @@ class SimulatorPipeline
     const HTree &htree_;
     MaskState &mask_;
     Stats &stats_;
+    std::shared_ptr<HalfGatesTable> halfGates_;
     /** Owned by the Simulator; swapped only while the queue is idle. */
     std::unique_ptr<ExecutionEngine> &engine_;
 

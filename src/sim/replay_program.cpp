@@ -103,7 +103,7 @@ compileSegmentProgram(const SegmentTrace &t, const Geometry &geo,
             break;
           }
           case OpType::LogicH: {
-            const HalfGates &hg = t.halfGates[op.hg];
+            const HalfGates &hg = *op.hg;
             const ReplayProgram::SecKind kind =
                 sectionKind(hg, op.fusedInit);
             // Candidate footprint. A stateful gate also READS its

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/error.hpp"
+#include "sim/half_gates_table.hpp"
 
 namespace pypim
 {
@@ -50,9 +51,10 @@ fusableInitNor(const HalfGates &init, const HalfGates &nor)
 }
 
 void
-buildSegmentTrace(const Word *ops, size_t n, const Geometry &geo,
+buildSegmentTrace(const Word *ops, size_t n, HalfGatesTable &table,
                   MaskState &mask, Stats &stats, SegmentTrace &trace)
 {
+    const Geometry &geo = table.geometry();
     trace.clear(geo.rows);
 
     // Lazily-materialised row-mask snapshot: snapId identifies the
@@ -64,8 +66,11 @@ buildSegmentTrace(const Word *ops, size_t n, const Geometry &geo,
     // id-comparing fusions downstream (the builder's adjacent
     // INIT1->NOR here, the window pass in batch_trace.cpp) fire
     // across equivalent-Range reissues. The search is linear over the
-    // segment's snapshots, but building runs once per cached
-    // signature, never per replay.
+    // segment's snapshots. Cached signatures pay it once, but the
+    // uncached paths (ExecutionEngine::execute, the pipeline producer)
+    // build on every submit; they stay cheap because a segment holds
+    // few distinct row masks and a run of work ops under one mask
+    // resolves once.
     int64_t snapId = -1;
     bool snapCurrent = false;
     const auto rowSnapshot = [&]() -> uint32_t {
@@ -147,16 +152,14 @@ buildSegmentTrace(const Word *ops, size_t n, const Geometry &geo,
                 ++stats.logicInits;
             TraceOp t;
             t.type = OpType::LogicH;
-            t.hg = static_cast<uint32_t>(trace.halfGates.size());
-            trace.halfGates.push_back(expandLogicH(op, geo));
+            t.hg = &table.intern(ops[i], op);
             t.rowMask = rowSnapshot();
             t.xb = mask.xb;
             if ((op.gate == Gate::Nor || op.gate == Gate::Not) &&
                 lastInit >= 0) {
                 const TraceOp &init = trace.ops[lastInit];
                 if (init.xb == t.xb && init.rowMask == t.rowMask &&
-                    fusableInitNor(trace.halfGates[init.hg],
-                                   trace.halfGates[t.hg])) {
+                    table.fusable(*init.hg, *t.hg)) {
                     trace.ops.pop_back();
                     t.fusedInit = true;
                 }

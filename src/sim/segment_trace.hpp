@@ -16,8 +16,10 @@
  * SegmentTrace is the loop-invariant part, computed exactly once per
  * segment by buildSegmentTrace():
  *
- *  - decoded work ops (Write / LogicH / LogicV) with their LogicH
- *    half-gate expansions pre-computed into an arena;
+ *  - decoded work ops (Write / LogicH / LogicV); a LogicH op points at
+ *    its half-gate expansion in the HalfGatesTable it was built with
+ *    (sim/half_gates_table.hpp), which expands each distinct LogicH
+ *    word once per table, not once per op;
  *  - mask ops ABSORBED: each work op carries a snapshot of the
  *    effective crossbar mask and a handle to the expanded row-mask
  *    bit-vector in force when it executed (snapshots are deduplicated
@@ -33,16 +35,20 @@
  * crossbar's condensed column-major state hot in L1/L2. The trace is
  * also the natural hand-off unit for pipelined or device-offloaded
  * backends (ROADMAP: double-buffered driver overlap, GPU engine) —
- * it is self-contained, immutable after building, and free of host
- * pointers into mutable simulator state.
+ * it is immutable after building and free of host pointers into
+ * mutable simulator state: its only outside pointers are into the
+ * HalfGatesTable, whose entries never change, and a BatchTrace keeps
+ * that table alive.
  *
  * All storage is arena-style and reused across segments/batches via
- * clear(), so steady-state building is allocation-free.
+ * clear(), so steady-state building allocates only for new
+ * HalfGatesTable entries.
  */
 #ifndef PYPIM_SIM_SEGMENT_TRACE_HPP
 #define PYPIM_SIM_SEGMENT_TRACE_HPP
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -103,7 +109,10 @@ struct TraceOp
     bool fusedInit = false;
     uint32_t index = 0;         //!< write / logicV slot
     uint32_t value = 0;         //!< write payload
-    uint32_t hg = 0;            //!< LogicH: SegmentTrace::halfGates index
+    /** LogicH: expansion, an entry of the HalfGatesTable the trace
+     *  was built with or (after an INIT-chain merge) of
+     *  SegmentTrace::merged. */
+    const HalfGates *hg = nullptr;
     uint32_t rowMask = 0;       //!< write/logicH: row-snapshot id
     uint32_t rowIn = 0, rowOut = 0;  //!< logicV rows
     /**
@@ -122,8 +131,14 @@ struct TraceOp
 struct SegmentTrace
 {
     std::vector<TraceOp> ops;
-    /** LogicH expansions referenced by TraceOp::hg. */
-    std::vector<HalfGates> halfGates;
+    /**
+     * Trace-owned expansions written by the window pass's INIT-chain
+     * merge (sim/batch_trace.hpp). A merge appends sections, so it
+     * copies the shared table entry here first and never writes
+     * through to the table. Heap-allocated, so the ops' pointers
+     * survive this vector growing.
+     */
+    std::vector<std::unique_ptr<HalfGates>> merged;
     /** Row-mask snapshots, wordsPerMask words each, back to back. */
     std::vector<uint64_t> rowWords;
     /**
@@ -148,7 +163,7 @@ struct SegmentTrace
     {
         wordsPerMask = (rows + 63) / 64;
         ops.clear();
-        halfGates.clear();
+        merged.clear();
         rowWords.clear();
         rowMaskFull.clear();
         writePairs.clear();
@@ -168,7 +183,7 @@ struct SegmentTrace
     bool empty() const { return ops.empty(); }
 };
 
-struct HalfGates;
+class HalfGatesTable;
 
 /**
  * True iff an INIT1 LogicH may be folded into the NOR/NOT @p nor:
@@ -181,18 +196,20 @@ struct HalfGates;
 bool fusableInitNor(const HalfGates &init, const HalfGates &nor);
 
 /**
- * Decode the barrier-free segment @p ops[0..n) into @p trace.
+ * Decode the barrier-free segment @p ops[0..n) into @p trace for the
+ * geometry of @p table, interning every LogicH expansion there.
  *
  * This is the engine's shared pre-pass: it validates every op exactly
  * as the op-major reference would (so a malformed op aborts BEFORE any
  * crossbar is touched), records the architectural @p stats, and
  * advances the authoritative @p mask state past the segment. It
- * touches no crossbar: O(n), not O(n * crossbars).
+ * touches no crossbar: O(n), not O(n * crossbars). Runs on the
+ * table's writer thread (sim/half_gates_table.hpp).
  *
  * Panics (InternalError) on a barrier op — callers split at
  * isBarrierOp() first.
  */
-void buildSegmentTrace(const Word *ops, size_t n, const Geometry &geo,
+void buildSegmentTrace(const Word *ops, size_t n, HalfGatesTable &table,
                        MaskState &mask, Stats &stats,
                        SegmentTrace &trace);
 

@@ -13,6 +13,7 @@
 #include "sim/bulk_io.hpp"
 #include "sim/crossbar.hpp"
 #include "sim/fault.hpp"
+#include "sim/half_gates_table.hpp"
 #include "sim/serialize.hpp"
 #include "sim/simulator.hpp"
 #include "sim/trace_wire.hpp"
@@ -66,7 +67,8 @@ struct WorkerContext
     WorkerContext(const Geometry &geo, const EngineConfig &sub,
                   uint32_t sliceLo, uint32_t sliceCount,
                   uint32_t deviceIndex)
-        : geo(geo), sim(geo, sub, sliceLo, sliceCount),
+        : geo(geo), halfGates(std::make_shared<HalfGatesTable>(geo)),
+          sim(geo, sub, sliceLo, sliceCount, halfGates),
           sliceLo(sliceLo), sliceCount(sliceCount)
     {
         // Mirror the in-process group's per-sub-device wiring: the
@@ -86,6 +88,9 @@ struct WorkerContext
     }
 
     Geometry geo;
+    /** LogicH expansions of this worker's submits and trace installs
+     *  (both run on the message loop's thread). */
+    std::shared_ptr<HalfGatesTable> halfGates;
     Simulator sim;
     uint32_t sliceLo;
     uint32_t sliceCount;
@@ -113,7 +118,7 @@ void
 handleTraceInstall(WorkerContext &ctx, const WireFrame &f)
 {
     auto trace = decodeTraceWire(f.payload.data(), f.payload.size(),
-                                 ctx.geo, ctx.sim.htree());
+                                 ctx.halfGates, ctx.sim.htree());
     ctx.traces[trace->wireSig] = std::move(trace);
 }
 

@@ -4,6 +4,7 @@
 #include "sim/batch_trace.hpp"
 #include "sim/bulk_io.hpp"
 #include "sim/fault.hpp"
+#include "sim/half_gates_table.hpp"
 #include "sim/replay_program.hpp"
 
 namespace pypim
@@ -15,12 +16,19 @@ Simulator::Simulator(const Geometry &geo, const EngineConfig &ec)
 }
 
 Simulator::Simulator(const Geometry &geo, const EngineConfig &ec,
-                     uint32_t sliceLo, uint32_t sliceCount)
+                     uint32_t sliceLo, uint32_t sliceCount,
+                     std::shared_ptr<HalfGatesTable> halfGates)
     : geo_(geo),
       sliceLo_(sliceLo),
-      htree_(geo.numCrossbars)
+      htree_(geo.numCrossbars),
+      halfGates_(std::move(halfGates))
 {
     geo_.validate();
+    if (!halfGates_)
+        halfGates_ = std::make_shared<HalfGatesTable>(geo_);
+    const Geometry &hg = halfGates_->geometry();
+    panicIf(hg.cols != geo_.cols || hg.partitions != geo_.partitions,
+            "simulator: half-gates table built for another geometry");
     fatalIf(sliceCount == 0 || sliceCount > geo_.numCrossbars ||
                 sliceLo > geo_.numCrossbars - sliceCount,
             "simulator: crossbar slice [" + std::to_string(sliceLo) +
@@ -30,8 +38,8 @@ Simulator::Simulator(const Geometry &geo, const EngineConfig &ec,
     for (uint32_t i = 0; i < sliceCount; ++i)
         xbs_.emplace_back(geo_, ec.storage);
     mask_.reset(geo_);
-    engine_ =
-        makeEngine(ec, geo_, xbs_, sliceLo_, htree_, mask_, stats_);
+    engine_ = makeEngine(ec, geo_, xbs_, sliceLo_, htree_, mask_, stats_,
+                         *halfGates_);
     if (ec.pipeline)
         makePipeline();
 }
@@ -40,7 +48,7 @@ void
 Simulator::makePipeline()
 {
     pipeline_ = std::make_unique<SimulatorPipeline>(
-        geo_, htree_, mask_, stats_, engine_,
+        geo_, htree_, mask_, stats_, halfGates_, engine_,
         [this] { verifyChecksums(); }, [this] { postReplayHook(); });
     // Satellite contract enforcement: snapshot()/restore() panic if a
     // replay is in flight instead of silently racing it.
@@ -89,8 +97,8 @@ Simulator::setEngine(const EngineConfig &ec)
     // The crossbar state (and with it the storage representation)
     // survives the swap: ec.storage is applied at construction only.
     drainPipeline();
-    engine_ =
-        makeEngine(ec, geo_, xbs_, sliceLo_, htree_, mask_, stats_);
+    engine_ = makeEngine(ec, geo_, xbs_, sliceLo_, htree_, mask_, stats_,
+                         *halfGates_);
     if (ec.pipeline && !pipeline_) {
         makePipeline();
     } else if (!ec.pipeline) {
@@ -248,7 +256,7 @@ Simulator::prepareTrace(const Word *ops, size_t n, bool fuse)
     MaskState local;
     local.reset(geo_);
     try {
-        buildBatchTrace(ops, n, geo_, htree_, local, *batch);
+        buildBatchTrace(ops, n, halfGates_, htree_, local, *batch);
     } catch (...) {
         // Match the accounting of an uncached submit, which records
         // the valid prefix before throwing.
@@ -256,13 +264,14 @@ Simulator::prepareTrace(const Word *ops, size_t n, bool fuse)
         throw;
     }
     if (fuse)
-        fuseBatchTrace(*batch, geo_);
+        fuseBatchTrace(*batch, *halfGates_);
     // Second compilation tier: lower the (possibly fused) segments
     // into flat replay programs before the batch freezes. Prepared
     // traces are the cached, replayed-many-times objects — the
     // pipeline's one-shot arena batches never come through here and
     // stay interpreted.
     compileBatchTrace(*batch, geo_);
+    batch->shrinkToFit();
     return batch;
 }
 

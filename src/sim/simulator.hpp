@@ -45,6 +45,7 @@ namespace pypim
 {
 
 class FaultInjector;
+class HalfGatesTable;
 
 /** Full-memory digital PIM simulator. */
 class Simulator : public OperationSink
@@ -66,9 +67,15 @@ class Simulator : public OperationSink
      * Reads outside the slice validate, count and return 0. Cached
      * BatchTrace handles built by any same-geometry simulator replay
      * unchanged on every slice.
+     *
+     * @p halfGates is the LogicH expansion table every trace this
+     * simulator builds interns into (sim/half_gates_table.hpp); a
+     * device group passes one table to all its sub-devices, which
+     * are fed from the same thread. Null makes a private table.
      */
     Simulator(const Geometry &geo, const EngineConfig &ec,
-              uint32_t sliceLo, uint32_t sliceCount);
+              uint32_t sliceLo, uint32_t sliceCount,
+              std::shared_ptr<HalfGatesTable> halfGates = nullptr);
 
     // The engine holds references into the simulator's state.
     Simulator(const Simulator &) = delete;
@@ -132,6 +139,13 @@ class Simulator : public OperationSink
 
     const Geometry &geometry() const { return geo_; }
     const HTree &htree() const { return htree_; }
+
+    /**
+     * The LogicH expansion table this simulator's traces point into.
+     * Host-side observability (entries(), bytes()); not part of the
+     * architectural Stats.
+     */
+    const HalfGatesTable &halfGatesTable() const { return *halfGates_; }
 
     /** First GLOBAL crossbar id this simulator owns (0 unless it is a
      *  sub-device slice). */
@@ -316,6 +330,8 @@ class Simulator : public OperationSink
     HTree htree_;
     MaskState mask_;
     Stats stats_;
+    /** Declared before engine_/pipeline_, which use it. */
+    std::shared_ptr<HalfGatesTable> halfGates_;
     std::unique_ptr<ExecutionEngine> engine_;
     bool verifyState_ = false;
     /** Blessed per-crossbar state digests (empty until enabled). */

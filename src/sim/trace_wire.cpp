@@ -4,6 +4,7 @@
 
 #include "common/error.hpp"
 #include "sim/batch_trace.hpp"
+#include "sim/half_gates_table.hpp"
 #include "sim/serialize.hpp"
 
 namespace pypim
@@ -187,19 +188,22 @@ traceSignature(const Word *ops, size_t n, bool fuse)
 
 std::shared_ptr<const BatchTrace>
 buildWireTrace(const Word *ops, size_t n, bool fuse,
-               const Geometry &geo, const HTree &htree)
+               const std::shared_ptr<HalfGatesTable> &table,
+               const HTree &htree)
 {
     if (!leadsWithMasks(ops, n))
         return nullptr;
     auto batch = std::make_shared<BatchTrace>();
     // A self-contained stream decodes identically from the power-on
     // mask state (Simulator::prepareTrace's local-MaskState mirror).
+    const Geometry &geo = table->geometry();
     MaskState local;
     local.reset(geo);
-    buildBatchTrace(ops, n, geo, htree, local, *batch);
+    buildBatchTrace(ops, n, table, htree, local, *batch);
     if (fuse)
-        fuseBatchTrace(*batch, geo);
+        fuseBatchTrace(*batch, *table);
     compileBatchTrace(*batch, geo);
+    batch->shrinkToFit();
     batch->wireSig = traceSignature(ops, n, fuse);
     batch->sourceOps.assign(ops, ops + n);
     batch->sourceFuse = fuse;
@@ -235,9 +239,11 @@ encodeTraceWire(const BatchTrace &trace)
 }
 
 std::shared_ptr<const BatchTrace>
-decodeTraceWire(const uint8_t *bytes, size_t n, const Geometry &geo,
+decodeTraceWire(const uint8_t *bytes, size_t n,
+                const std::shared_ptr<HalfGatesTable> &table,
                 const HTree &htree)
 {
+    const Geometry &geo = table->geometry();
     ByteReader r(bytes, n);
     fatalIf(r.u32() != kTraceMagic,
             "trace wire: bad magic (not a trace image)");
@@ -277,9 +283,10 @@ decodeTraceWire(const uint8_t *bytes, size_t n, const Geometry &geo,
     auto batch = std::make_shared<BatchTrace>();
     MaskState local;
     local.reset(geo);
-    buildBatchTrace(ops.data(), ops.size(), geo, htree, local, *batch);
+    buildBatchTrace(ops.data(), ops.size(), table, htree, local,
+                    *batch);
     if (fuse)
-        fuseBatchTrace(*batch, geo);
+        fuseBatchTrace(*batch, *table);
 
     // The cross-check: a rebuilt trace that does not reproduce the
     // sender's architectural epilogue would silently break the
@@ -301,6 +308,7 @@ decodeTraceWire(const uint8_t *bytes, size_t n, const Geometry &geo,
     for (uint32_t i = 0; i < nPrograms; ++i)
         batch->programs.push_back(readProgram(r));
     r.expectEnd("trace image");
+    batch->shrinkToFit();
 
     batch->wireSig = sig;
     batch->sourceOps = std::move(ops);

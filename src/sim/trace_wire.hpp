@@ -43,6 +43,7 @@ namespace pypim
 {
 
 struct BatchTrace;
+class HalfGatesTable;
 class HTree;
 
 /** Content address of a frozen trace: FNV-1a over the source micro-op
@@ -54,14 +55,17 @@ uint64_t traceSignature(const Word *ops, size_t n, bool fuse);
  * stream WITHOUT a Simulator: the host-side mirror of
  * Simulator::prepareTrace for transports whose sub-device state lives
  * elsewhere. Returns null when the stream does not lead with both
- * masks; otherwise the trace is built, optionally fused, compiled,
- * and stamped with its wire identity (BatchTrace::wireSig/sourceOps/
- * sourceFuse). Unlike the Simulator path, a malformed stream throws
- * without any stats side effect — the caller owns no counters.
+ * masks; otherwise the trace is built for the geometry of @p table
+ * (interning its LogicH expansions there), optionally fused,
+ * compiled, and stamped with its wire identity (BatchTrace::wireSig/
+ * sourceOps/sourceFuse). Unlike the Simulator path, a malformed
+ * stream throws without any stats side effect — the caller owns no
+ * counters.
  */
 std::shared_ptr<const BatchTrace>
 buildWireTrace(const Word *ops, size_t n, bool fuse,
-               const Geometry &geo, const HTree &htree);
+               const std::shared_ptr<HalfGatesTable> &table,
+               const HTree &htree);
 
 /** Encode @p trace (which must carry its wire identity) into one
  *  self-contained image. */
@@ -69,13 +73,15 @@ std::vector<uint8_t> encodeTraceWire(const BatchTrace &trace);
 
 /**
  * Decode an image produced by encodeTraceWire into a freshly rebuilt
- * frozen trace for @p geo, verifying the magic/version/geometry
- * guards, the signature, and the architectural epilogue cross-check.
- * Shipped ReplayPrograms are installed verbatim. Throws pypim::Error
- * on any mismatch or truncation.
+ * frozen trace for the geometry of @p table (the receiver's expansion
+ * table, which the rebuild interns into), verifying the magic/
+ * version/geometry guards, the signature, and the architectural
+ * epilogue cross-check. Shipped ReplayPrograms are installed
+ * verbatim. Throws pypim::Error on any mismatch or truncation.
  */
 std::shared_ptr<const BatchTrace>
-decodeTraceWire(const uint8_t *bytes, size_t n, const Geometry &geo,
+decodeTraceWire(const uint8_t *bytes, size_t n,
+                const std::shared_ptr<HalfGatesTable> &table,
                 const HTree &htree);
 
 } // namespace pypim

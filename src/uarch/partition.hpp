@@ -26,6 +26,13 @@
  * section, an input half with no output half, the inner input outside
  * the gate span, ...) raise pypim::InternalError, because only a buggy
  * driver can produce them.
+ *
+ * The expansion is a pure function of the word and the geometry, so
+ * the simulator's trace builders run it once per distinct word and
+ * share the result (sim/half_gates_table.hpp); a HalfGates is 1680
+ * bytes, too large to copy per op. The op-major test oracle
+ * (tests/reference_engine.hpp) calls it directly on every op, so it
+ * stays independent of that table.
  */
 #ifndef PYPIM_UARCH_PARTITION_HPP
 #define PYPIM_UARCH_PARTITION_HPP

@@ -6,7 +6,9 @@
  * crossbar-major engine (sim/engine.hpp) is held to: every micro-op
  * is decoded and applied to all mask-selected crossbars, in stream
  * order, on the calling thread — deliberately free of the segment
- * pre-pass, fusion and compilation it validates. Frozen cached traces
+ * pre-pass, fusion and compilation it validates. Every LogicH op is
+ * expanded afresh by expandLogicH, so the oracle is also independent
+ * of the HalfGatesTable the production builders intern into. Frozen cached traces
  * (submitTrace) still replay through the engine's shared replay
  * path; their oracle is the uncached stream.
  *
@@ -40,8 +42,10 @@ class SerialEngine : public ExecutionEngine
   public:
     SerialEngine(const Geometry &geo, std::vector<Crossbar> &xbs,
                     uint32_t xbBase, const HTree &htree,
-                    MaskState &mask, Stats &stats)
-        : ExecutionEngine(geo, xbs, xbBase, htree, mask, stats, 1)
+                    MaskState &mask, Stats &stats,
+                    HalfGatesTable &halfGates)
+        : ExecutionEngine(geo, xbs, xbBase, htree, mask, stats,
+                          halfGates, 1)
     {
     }
 
@@ -116,10 +120,11 @@ class SerialEngine : public ExecutionEngine
 inline std::unique_ptr<ExecutionEngine>
 makeSerialEngine(const EngineConfig &, const Geometry &geo,
                     std::vector<Crossbar> &xbs, uint32_t xbBase,
-                    const HTree &htree, MaskState &mask, Stats &stats)
+                    const HTree &htree, MaskState &mask, Stats &stats,
+                    HalfGatesTable &halfGates)
 {
     return std::make_unique<SerialEngine>(geo, xbs, xbBase, htree,
-                                             mask, stats);
+                                             mask, stats, halfGates);
 }
 
 namespace detail

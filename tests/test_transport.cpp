@@ -25,6 +25,7 @@
 #include "sim/batch_trace.hpp"
 #include "sim/checkpoint.hpp"
 #include "sim/device_group.hpp"
+#include "sim/half_gates_table.hpp"
 #include "sim/htree.hpp"
 #include "sim/serialize.hpp"
 #include "sim/trace_wire.hpp"
@@ -225,14 +226,15 @@ TEST(TraceWire, RoundTripRebuildsIdenticalTrace)
 {
     const Geometry g = testGeometry();
     const HTree ht(g.numCrossbars);
+    const auto tab = std::make_shared<HalfGatesTable>(g);
     const std::vector<Word> ops = tracedStream(g);
     for (const bool compiled : {false, true}) {
         std::shared_ptr<const BatchTrace> t;
         if (compiled) {
-            t = buildWireTrace(ops.data(), ops.size(), true, g, ht);
+            t = buildWireTrace(ops.data(), ops.size(), true, tab, ht);
         } else {
             test::InterpretedReplay off;
-            t = buildWireTrace(ops.data(), ops.size(), true, g, ht);
+            t = buildWireTrace(ops.data(), ops.size(), true, tab, ht);
         }
         ASSERT_TRUE(t);
         EXPECT_EQ(t->programs.empty(), !compiled);
@@ -240,7 +242,7 @@ TEST(TraceWire, RoundTripRebuildsIdenticalTrace)
                   traceSignature(ops.data(), ops.size(), true));
         const std::vector<uint8_t> img = encodeTraceWire(*t);
         const std::shared_ptr<const BatchTrace> d =
-            decodeTraceWire(img.data(), img.size(), g, ht);
+            decodeTraceWire(img.data(), img.size(), tab, ht);
         ASSERT_TRUE(d);
         EXPECT_EQ(d->wireSig, t->wireSig);
         EXPECT_TRUE(d->stats == t->stats);
@@ -253,8 +255,9 @@ TEST(TraceWire, StreamWithoutLeadingMasksIsNotWireable)
 {
     const Geometry g = testGeometry();
     const HTree ht(g.numCrossbars);
+    const auto tab = std::make_shared<HalfGatesTable>(g);
     const std::vector<Word> ops = {MicroOp::write(2, 7).encode()};
-    EXPECT_EQ(buildWireTrace(ops.data(), ops.size(), true, g, ht),
+    EXPECT_EQ(buildWireTrace(ops.data(), ops.size(), true, tab, ht),
               nullptr);
 }
 
@@ -266,17 +269,18 @@ TEST(TraceWire, EveryBitFlipIsRejected)
     // single-bit flip must throw.
     const Geometry g = testGeometry();
     const HTree ht(g.numCrossbars);
+    const auto tab = std::make_shared<HalfGatesTable>(g);
     const std::vector<Word> ops = tracedStream(g);
     test::InterpretedReplay off;
     const std::shared_ptr<const BatchTrace> t =
-        buildWireTrace(ops.data(), ops.size(), true, g, ht);
+        buildWireTrace(ops.data(), ops.size(), true, tab, ht);
     ASSERT_TRUE(t);
     const std::vector<uint8_t> img = encodeTraceWire(*t);
     for (size_t i = 0; i < img.size(); ++i) {
         for (int b = 0; b < 8; ++b) {
             std::vector<uint8_t> bad = img;
             bad[i] ^= static_cast<uint8_t>(1u << b);
-            EXPECT_THROW(decodeTraceWire(bad.data(), bad.size(), g, ht),
+            EXPECT_THROW(decodeTraceWire(bad.data(), bad.size(), tab, ht),
                          Error)
                 << "flip survived at byte " << i << " bit " << b;
         }
@@ -287,16 +291,17 @@ TEST(TraceWire, EveryTruncationIsRejected)
 {
     const Geometry g = testGeometry();
     const HTree ht(g.numCrossbars);
+    const auto tab = std::make_shared<HalfGatesTable>(g);
     const std::vector<Word> ops = tracedStream(g);
     const std::shared_ptr<const BatchTrace> t =
-        buildWireTrace(ops.data(), ops.size(), true, g, ht);
+        buildWireTrace(ops.data(), ops.size(), true, tab, ht);
     ASSERT_TRUE(t);
     std::vector<uint8_t> img = encodeTraceWire(*t);
     for (size_t n = 0; n < img.size(); ++n)
-        EXPECT_THROW(decodeTraceWire(img.data(), n, g, ht), Error)
+        EXPECT_THROW(decodeTraceWire(img.data(), n, tab, ht), Error)
             << "truncation to " << n << " bytes survived";
     img.push_back(0);
-    EXPECT_THROW(decodeTraceWire(img.data(), img.size(), g, ht), Error)
+    EXPECT_THROW(decodeTraceWire(img.data(), img.size(), tab, ht), Error)
         << "trailing byte survived";
 }
 
@@ -304,15 +309,17 @@ TEST(TraceWire, WrongGeometryIsRejected)
 {
     const Geometry g = testGeometry();
     const HTree ht(g.numCrossbars);
+    const auto tab = std::make_shared<HalfGatesTable>(g);
     const std::vector<Word> ops = tracedStream(g);
     const std::shared_ptr<const BatchTrace> t =
-        buildWireTrace(ops.data(), ops.size(), true, g, ht);
+        buildWireTrace(ops.data(), ops.size(), true, tab, ht);
     ASSERT_TRUE(t);
     const std::vector<uint8_t> img = encodeTraceWire(*t);
     Geometry g2 = g;
     g2.numCrossbars *= 4;
     const HTree ht2(g2.numCrossbars);
-    EXPECT_THROW(decodeTraceWire(img.data(), img.size(), g2, ht2),
+    const auto tab2 = std::make_shared<HalfGatesTable>(g2);
+    EXPECT_THROW(decodeTraceWire(img.data(), img.size(), tab2, ht2),
                  Error);
 }
 
