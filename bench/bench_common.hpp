@@ -334,6 +334,7 @@ jsonStorageGauges(Json &j, const char *key, const StorageGauges &g)
     j.field("blocks_present", g.blocksPresent);
     j.field("blocks_elided", g.blocksElided);
     j.field("cow_shared", g.cowShared);
+    j.field("run_columns", g.runColumns);
     j.field("resident_bytes", g.residentBytes);
     j.end();
 }

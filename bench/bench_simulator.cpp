@@ -470,15 +470,18 @@ storageSweep(Json *json)
         std::printf("\n=== Crossbar-storage sweep: dense-data "
                     "end-to-end (fp-add, %u crossbars) ===\n",
                     g.numCrossbars);
-        std::printf("%-8s %14s %16s %10s\n", "storage", "Kop/s",
-                    "resident [MB]", "identical");
-        std::printf("%-8s %14.2f %16.2f %10s\n", "dense",
+        // Run columns: present columns laid out as one contiguous
+        // run, the ones the paged kernels take at span speed.
+        std::printf("%-8s %14s %16s %12s %10s\n", "storage", "Kop/s",
+                    "resident [MB]", "run columns", "identical");
+        std::printf("%-8s %14.2f %16.2f %12s %10s\n", "dense",
                     rDense / 1e3,
                     static_cast<double>(sgDense.residentBytes) / 1e6,
-                    "-");
-        std::printf("%-8s %14.2f %16.2f %10s\n", "paged",
+                    "-", "-");
+        std::printf("%-8s %14.2f %16.2f %12llu %10s\n", "paged",
                     rPaged / 1e3,
                     static_cast<double>(sgPaged.residentBytes) / 1e6,
+                    static_cast<unsigned long long>(sgPaged.runColumns),
                     ok ? "yes" : "NO — BUG");
         // Reported, never enforced: the ratio swings with host load,
         // so it must not decide the exit code.

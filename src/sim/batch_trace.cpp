@@ -40,6 +40,7 @@ BatchTrace::bytes() const
         b += t.ops.capacity() * sizeof(TraceOp) +
              t.rowWords.capacity() * sizeof(uint64_t) +
              t.rowMaskFull.capacity() * sizeof(uint8_t) +
+             t.rowMaskBlocks.capacity() * sizeof(MaskBlocks) +
              t.writePairs.capacity() * sizeof(StripeWrite) +
              t.merged.capacity() * sizeof(t.merged[0]) +
              t.merged.size() * sizeof(HalfGates);
@@ -49,7 +50,8 @@ BatchTrace::bytes() const
              p.sections.capacity() * sizeof(ReplayProgram::PSection) +
              p.pairs.capacity() * sizeof(StripeWrite) +
              p.vgates.capacity() * sizeof(ReplayProgram::VGate) +
-             p.maskWords.capacity() * sizeof(uint64_t);
+             p.maskWords.capacity() * sizeof(uint64_t) +
+             p.maskBlocks.capacity() * sizeof(MaskBlocks);
     }
     return b;
 }
@@ -62,6 +64,7 @@ BatchTrace::shrinkToFit()
         t.ops.shrink_to_fit();
         t.rowWords.shrink_to_fit();
         t.rowMaskFull.shrink_to_fit();
+        t.rowMaskBlocks.shrink_to_fit();
         t.writePairs.shrink_to_fit();
     }
     for (ReplayProgram &p : programs) {
@@ -70,6 +73,7 @@ BatchTrace::shrinkToFit()
         p.pairs.shrink_to_fit();
         p.vgates.shrink_to_fit();
         p.maskWords.shrink_to_fit();
+        p.maskBlocks.shrink_to_fit();
     }
     items.shrink_to_fit();
 }

@@ -67,15 +67,23 @@ windowMask(uint32_t off, uint32_t take)
 } // namespace
 
 /**
- * Refcounted pool of kBlockWords-word blocks backing one paged
- * crossbar and every snapshot taken from it. Freed slots are recycled
- * through a free list; alloc() always returns an all-zero block (the
- * invariant every densification relies on). Refcounts are plain
- * integers — see the synchronisation contract in crossbar.hpp.
+ * Refcounted pool of blocks backing one paged crossbar and every
+ * snapshot taken from it. A block holds kBlockWords words, or the
+ * whole column when it is shorter (a 128-row column is 2 words), so a
+ * shallow crossbar's present state takes the bytes, and the cache
+ * lines, dense storage would. Freed slots are recycled through a free
+ * list; alloc() always returns an all-zero block (the invariant every
+ * densification relies on). Refcounts are plain integers — see the
+ * synchronisation contract in crossbar.hpp.
  */
 class BlockPool
 {
   public:
+    explicit BlockPool(uint32_t blockWords) : bw_(blockWords) {}
+
+    /** Words per block (the pool's stride). */
+    uint32_t blockWords() const { return bw_; }
+
     /** A fresh all-zero block with refcount 1. */
     uint32_t
     alloc()
@@ -85,12 +93,12 @@ class BlockPool
             free_.pop_back();
             refs_[id] = 1;
             uint64_t *w = words(id);
-            std::fill(w, w + Crossbar::kBlockWords, 0);
+            std::fill(w, w + bw_, 0);
             return id;
         }
         const uint32_t id = static_cast<uint32_t>(refs_.size());
         refs_.push_back(1);
-        words_.resize(words_.size() + Crossbar::kBlockWords, 0);
+        words_.resize(words_.size() + bw_, 0);
         return id;
     }
 
@@ -108,9 +116,7 @@ class BlockPool
         if (free_.empty()) {
             const uint32_t id = static_cast<uint32_t>(refs_.size());
             refs_.resize(refs_.size() + n, 1);
-            words_.resize(words_.size() +
-                              static_cast<size_t>(n) *
-                                  Crossbar::kBlockWords,
+            words_.resize(words_.size() + static_cast<size_t>(n) * bw_,
                           0);
             return id;
         }
@@ -123,9 +129,7 @@ class BlockPool
                 return Crossbar::kAbsent;
         free_.resize(top);
         std::fill(refs_.begin() + id, refs_.begin() + id + n, 1u);
-        std::fill(words(id),
-                  words(id) + static_cast<size_t>(n) *
-                                  Crossbar::kBlockWords,
+        std::fill(words(id), words(id) + static_cast<size_t>(n) * bw_,
                   0);
         return id;
     }
@@ -135,37 +139,44 @@ class BlockPool
     clone(uint32_t id)
     {
         const uint32_t nid = alloc();  // may grow words_: copy by index
-        std::copy(words_.begin() +
-                      static_cast<size_t>(id) * Crossbar::kBlockWords,
-                  words_.begin() +
-                      static_cast<size_t>(id + 1) * Crossbar::kBlockWords,
-                  words_.begin() +
-                      static_cast<size_t>(nid) * Crossbar::kBlockWords);
+        std::copy(words_.begin() + static_cast<size_t>(id) * bw_,
+                  words_.begin() + static_cast<size_t>(id + 1) * bw_,
+                  words_.begin() + static_cast<size_t>(nid) * bw_);
         return nid;
     }
 
-    void ref(uint32_t id) { ++refs_[id]; }
+    void
+    ref(uint32_t id)
+    {
+        if (++refs_[id] == 2)
+            ++shared_;
+    }
 
     void
     unref(uint32_t id)
     {
-        if (--refs_[id] == 0)
+        const uint32_t r = --refs_[id];
+        if (r == 1)
+            --shared_;
+        else if (r == 0)
             free_.push_back(id);
     }
 
     uint32_t refCount(uint32_t id) const { return refs_[id]; }
+    /** Blocks with a refcount above 1 (shared with a snapshot). */
+    uint32_t sharedBlocks() const { return shared_; }
+    const uint32_t *refsData() const { return refs_.data(); }
+    uint64_t *wordsData() { return words_.data(); }
 
     uint64_t *
     words(uint32_t id)
     {
-        return words_.data() +
-               static_cast<size_t>(id) * Crossbar::kBlockWords;
+        return words_.data() + static_cast<size_t>(id) * bw_;
     }
     const uint64_t *
     words(uint32_t id) const
     {
-        return words_.data() +
-               static_cast<size_t>(id) * Crossbar::kBlockWords;
+        return words_.data() + static_cast<size_t>(id) * bw_;
     }
 
     /** Bytes this pool holds allocated (block words + bookkeeping). */
@@ -181,6 +192,8 @@ class BlockPool
     std::vector<uint64_t> words_;
     std::vector<uint32_t> refs_;
     std::vector<uint32_t> free_;
+    uint32_t bw_;
+    uint32_t shared_ = 0;
 };
 
 Crossbar::Crossbar(const Geometry &geo, XbarStorage storage)
@@ -203,15 +216,14 @@ Crossbar::Crossbar(const Geometry &geo, XbarStorage storage)
 // --- paged block plumbing -----------------------------------------------
 
 void
-Crossbar::ensureTable()
+Crossbar::allocTable()
 {
-    if (!table_.empty())
-        return;
     table_.assign(static_cast<size_t>(geo_->cols) * blocksPerCol_,
                   kAbsent);
     runs_.assign((geo_->cols + 63) / 64, 0);
     if (!pool_)
-        pool_ = std::make_shared<BlockPool>();
+        pool_ = std::make_shared<BlockPool>(
+            std::min(kBlockWords, wordsPerCol_));
 }
 
 const uint64_t *
@@ -274,15 +286,47 @@ Crossbar::colAbsent(uint32_t col) const
 // they are defined inline here, ahead of every caller, while the
 // per-block fallbacks and the run allocation stay out of line.
 
-inline uint64_t *
-Crossbar::runRW(uint32_t col)
+inline Crossbar::PagedView
+Crossbar::pagedView() const
 {
-    if (table_.empty() || !isRun(col))
-        return nullptr;
-    // A snapshot copies the whole table, so it shares a run whole:
-    // block 0's refcount speaks for every block of the run.
-    const uint32_t id = table_[tableIndex(col, 0)];
-    return pool_->refCount(id) == 1 ? pool_->words(id) : nullptr;
+    PagedView v;
+    if (table_.empty())
+        return v;
+    v.table = table_.data();
+    v.runs = runs_.data();
+    v.refs = pool_->refsData();
+    v.words = pool_->wordsData();
+    v.blocksPerCol = blocksPerCol_;
+    v.blockStride = pool_->blockWords();
+    v.anyShared = pool_->sharedBlocks() != 0;
+    return v;
+}
+
+bool
+Crossbar::columnIsRun(uint32_t col) const
+{
+    return !table_.empty() && isRun(col);
+}
+
+template <bool kOne>
+inline const uint64_t *
+Crossbar::PagedView::runRO(uint32_t col) const
+{
+    if constexpr (kOne) {
+        const uint32_t id = table[col];
+        return id == kAbsent
+            ? kZeroCol
+            : words + static_cast<size_t>(id) * blockStride;
+    }
+    if (!table)
+        return kZeroCol;
+    const uint32_t *ids = table + static_cast<size_t>(col) * blocksPerCol;
+    if (isRun(col))
+        return words + static_cast<size_t>(ids[0]) * blockStride;
+    for (uint32_t b = 0; b < blocksPerCol; ++b)
+        if (ids[b] != kAbsent)
+            return nullptr;
+    return kZeroCol;
 }
 
 inline uint64_t *
@@ -309,102 +353,364 @@ Crossbar::allocColRun(uint32_t col)
     return pool_->words(id);
 }
 
-inline const uint64_t *
-Crossbar::runRO(uint32_t col) const
-{
-    if (table_.empty())
-        return kZeroCol;
-    if (isRun(col))
-        return pool_->words(table_[tableIndex(col, 0)]);
-    return colAbsent(col) ? kZeroCol : nullptr;
-}
+// --- paged column kernels -----------------------------------------------
 
-inline void
-Crossbar::fillColFull(uint32_t col, bool ones)
+MaskBlocks
+MaskBlocks::of(std::span<const uint64_t> words)
 {
-    // Ones materialise every block; zeros only clear, so an absent
-    // block stays absent.
-    if (uint64_t *w = ones ? runMaterialise(col) : runRW(col))
-        std::fill(w, w + wordsPerCol_, ones ? ~0ull : 0);
-    else
-        fillColBlocks(col, ones);
-}
-
-void
-Crossbar::fillColBlocks(uint32_t col, bool ones)
-{
-    for (uint32_t b = 0; b < blocksPerCol_; ++b) {
-        uint64_t *blk = ones ? blockRW(col, b) : blockIfPresent(col, b);
-        if (blk)
-            std::fill(blk, blk + blockWords(b), ones ? ~0ull : 0);
+    constexpr uint32_t kBW = Crossbar::kBlockWords;
+    const uint32_t n = static_cast<uint32_t>(words.size());
+    const uint32_t blocks = (n + kBW - 1) / kBW;
+    panicIf(blocks > kMaxBlocksPerCol,
+            "MaskBlocks: mask exceeds the geometry bound");
+    MaskBlocks m;
+    uint32_t reached = 0;
+    for (uint32_t b = 0; b < blocks; ++b) {
+        const uint32_t lo = b * kBW;
+        if (!allZero(words.data() + lo, std::min(n - lo, kBW))) {
+            m.bits[b >> 6] |= 1ull << (b & 63);
+            ++reached;
+        }
     }
+    m.every = reached == blocks;
+    m.none = reached == 0;
+    return m;
 }
 
-inline void
-Crossbar::norColFull(uint32_t outCol, uint32_t inA, uint32_t inB)
+namespace
 {
-    uint64_t *out = runRW(outCol);
-    const uint64_t *a = runRO(inA);
-    const uint64_t *b = runRO(inB);
-    if (out && a && b) {
-        for (uint32_t w = 0; w < wordsPerCol_; ++w)
-            out[w] &= ~(a[w] | b[w]);
+
+/** What the all-ones mask reaches: every block. */
+constexpr MaskBlocks kEveryBlock{{~0ull, ~0ull}, true, false};
+constexpr ColMask kFullMask{nullptr, &kEveryBlock};
+
+/**
+ * The word loop of column kind K over @p n words — the only copy of
+ * each paged kernel's bit work, run over a whole-column span or one
+ * block. @p m null is the all-ones mask: INIT collapses to a fill and
+ * the gates drop the blend term.
+ */
+template <ColKind K>
+inline void
+colWordsOp(uint64_t *out, const uint64_t *a, const uint64_t *b,
+           const uint64_t *m, uint32_t n)
+{
+    if constexpr (K == ColKind::Init0) {
+        if (!m)
+            std::fill(out, out + n, 0);
+        else
+            for (uint32_t w = 0; w < n; ++w)
+                out[w] &= ~m[w];
+    } else if constexpr (K == ColKind::Init1) {
+        if (!m)
+            std::fill(out, out + n, ~0ull);
+        else
+            for (uint32_t w = 0; w < n; ++w)
+                out[w] |= m[w];
+    } else if constexpr (K == ColKind::NotNor) {
+        if (!m)
+            for (uint32_t w = 0; w < n; ++w)
+                out[w] &= ~(a[w] | b[w]);
+        else
+            for (uint32_t w = 0; w < n; ++w)
+                out[w] &= ~((a[w] | b[w]) & m[w]);
     } else {
-        norColBlocks(outCol, inA, inB);
+        if (!m)
+            for (uint32_t w = 0; w < n; ++w)
+                out[w] = ~(a[w] | b[w]);
+        else
+            for (uint32_t w = 0; w < n; ++w)
+                out[w] = (out[w] & ~m[w]) | (~(a[w] | b[w]) & m[w]);
     }
 }
 
-void
-Crossbar::norColBlocks(uint32_t outCol, uint32_t inA, uint32_t inB)
+/** Apply @p n LogicV gates in order to one column's words. */
+inline void
+vgateWords(uint64_t *words, const VGate *gs, size_t n)
 {
-    for (uint32_t b = 0; b < blocksPerCol_; ++b) {
-        const bool aIn = blockRO(inA, b) != nullptr;
-        const bool bIn = blockRO(inB, b) != nullptr;
-        if (!aIn && !bIn)
-            continue;  // out &= ~0: untouched
-        uint64_t *out = blockIfPresent(outCol, b);
-        if (!out)
-            continue;  // only clears: absent stays absent
-        // Inputs AFTER the output's clone (pool may move).
-        const uint64_t *a = aIn ? blockRO(inA, b) : kZeroBlock;
-        const uint64_t *bb = bIn ? blockRO(inB, b) : kZeroBlock;
-        const uint32_t used = blockWords(b);
-        for (uint32_t w = 0; w < used; ++w)
-            out[w] &= ~(a[w] | bb[w]);
+    for (size_t k = 0; k < n; ++k) {
+        const VGate &g = gs[k];
+        switch (g.gate) {
+          case Gate::Init0:
+            words[g.outWord] &= ~g.outBit;
+            break;
+          case Gate::Init1:
+            words[g.outWord] |= g.outBit;
+            break;
+          case Gate::Not:
+            if ((words[g.inWord] >> g.inShift) & 1)
+                words[g.outWord] &= ~g.outBit;
+            break;
+          case Gate::Nor:
+            break;  // unreachable: rejected at emission
+        }
     }
+}
+
+/** The column kind a LogicH gate computes (INIT1-fused or not). */
+ColKind
+colKindOf(Gate g, bool fused)
+{
+    if (fused)
+        return ColKind::FusedNotNor;
+    switch (g) {
+      case Gate::Init0:
+        return ColKind::Init0;
+      case Gate::Init1:
+        return ColKind::Init1;
+      default:
+        return ColKind::NotNor;
+    }
+}
+
+} // namespace
+
+template <ColKind K, bool kOne>
+inline void
+Crossbar::colOp(uint32_t outCol, uint32_t inA, uint32_t inB,
+                const ColMask &m, PagedView &v)
+{
+    // Setting kinds lay an absent column out as a run only when the
+    // mask reaches every block: the blocks the per-block loop would
+    // densify. Clearing kinds never materialise.
+    constexpr bool kSets =
+        K == ColKind::Init1 || K == ColKind::FusedNotNor;
+    uint64_t *out = v.runRW<kOne>(outCol);
+    if (!out && kSets && m.blocks->every) {
+        out = allocColRun(outCol);
+        v = pagedView();  // the table or pool may have grown
+    }
+    if (out) {
+        if constexpr (K == ColKind::Init0 || K == ColKind::Init1) {
+            colWordsOp<K>(out, nullptr, nullptr, m.words, wordsPerCol_);
+            return;
+        } else {
+            const uint64_t *a = v.runRO<kOne>(inA);  // after any growth
+            const uint64_t *b = v.runRO<kOne>(inB);
+            if (kOne || (a && b)) {  // single blocks always resolve
+                colWordsOp<K>(out, a, b, m.words, wordsPerCol_);
+                return;
+            }
+        }
+    }
+    colBlocks(K, outCol, inA, inB, m);
+    v = pagedView();
 }
 
 inline void
-Crossbar::fusedNorColFull(uint32_t outCol, uint32_t inA, uint32_t inB)
+Crossbar::colOp(ColKind k, uint32_t outCol, uint32_t inA, uint32_t inB,
+                const ColMask &m, PagedView &v)
 {
-    // out = ~(a|b) sets bits wherever both inputs read zero, so the
-    // output materialises every block unconditionally.
-    uint64_t *out = runMaterialise(outCol);
-    const uint64_t *a = runRO(inA);  // after the pool may grow
-    const uint64_t *b = runRO(inB);
-    if (out && a && b) {
-        for (uint32_t w = 0; w < wordsPerCol_; ++w)
-            out[w] = ~(a[w] | b[w]);
-    } else {
-        fusedNorColBlocks(outCol, inA, inB);
+    switch (k) {
+      case ColKind::Init0:
+        colOp<ColKind::Init0>(outCol, inA, inB, m, v);
+        break;
+      case ColKind::Init1:
+        colOp<ColKind::Init1>(outCol, inA, inB, m, v);
+        break;
+      case ColKind::NotNor:
+        colOp<ColKind::NotNor>(outCol, inA, inB, m, v);
+        break;
+      case ColKind::FusedNotNor:
+        colOp<ColKind::FusedNotNor>(outCol, inA, inB, m, v);
+        break;
     }
 }
 
 void
-Crossbar::fusedNorColBlocks(uint32_t outCol, uint32_t inA, uint32_t inB)
+Crossbar::colBlocks(ColKind k, uint32_t outCol, uint32_t inA,
+                    uint32_t inB, const ColMask &m)
 {
     for (uint32_t b = 0; b < blocksPerCol_; ++b) {
-        uint64_t *out = blockRW(outCol, b);
-        const uint64_t *a = blockRO(inA, b);
-        const uint64_t *bb = blockRO(inB, b);
-        if (!a)
-            a = kZeroBlock;
-        if (!bb)
-            bb = kZeroBlock;
+        // A block the mask does not reach is untouched by every kind,
+        // so its presence never changes.
+        if (m.words && !m.blocks->reaches(b))
+            continue;
+        const uint64_t *mb = m.words ? m.words + b * kBlockWords : nullptr;
         const uint32_t used = blockWords(b);
-        for (uint32_t w = 0; w < used; ++w)
-            out[w] = ~(a[w] | bb[w]);
+        switch (k) {
+          case ColKind::Init0:
+            // Only clears: an absent output block stays absent.
+            if (uint64_t *out = blockIfPresent(outCol, b))
+                colWordsOp<ColKind::Init0>(out, nullptr, nullptr, mb,
+                                           used);
+            break;
+          case ColKind::Init1:
+            colWordsOp<ColKind::Init1>(blockRW(outCol, b), nullptr,
+                                       nullptr, mb, used);
+            break;
+          case ColKind::NotNor: {
+            // Absent inputs read as zero, so with both absent out &= ~0
+            // leaves the output block untouched — skip before cloning
+            // anything. An absent output only clears: stays absent.
+            const bool aIn = blockRO(inA, b) != nullptr;
+            const bool bIn = blockRO(inB, b) != nullptr;
+            if (!aIn && !bIn)
+                break;
+            uint64_t *out = blockIfPresent(outCol, b);
+            if (!out)
+                break;
+            // Inputs AFTER the output's clone (the pool may move).
+            colWordsOp<ColKind::NotNor>(
+                out, aIn ? blockRO(inA, b) : kZeroBlock,
+                bIn ? blockRO(inB, b) : kZeroBlock, mb, used);
+            break;
+          }
+          case ColKind::FusedNotNor: {
+            // Sets a bit wherever both inputs read zero, so the output
+            // block materialises even when every operand is absent.
+            uint64_t *out = blockRW(outCol, b);
+            const uint64_t *a = blockRO(inA, b);
+            const uint64_t *bb = blockRO(inB, b);
+            colWordsOp<ColKind::FusedNotNor>(out, a ? a : kZeroBlock,
+                                             bb ? bb : kZeroBlock, mb,
+                                             used);
+            break;
+          }
+        }
     }
+}
+
+template <bool kOne>
+inline void
+Crossbar::vgatesCol(uint32_t col, const VGate *gs, size_t n,
+                    PagedView &v)
+{
+    // Every block of an unshared run is present, so the list runs on
+    // its span with no presence change.
+    if (uint64_t *w = v.runRW<kOne>(col)) {
+        vgateWords(w, gs, n);
+        return;
+    }
+    vgatesBlocks(col, gs, n);
+    v = pagedView();
+}
+
+void
+Crossbar::vgatesSlot(uint32_t slot, const VGate *gs, size_t n,
+                     PagedView &v)
+{
+    const uint32_t pw = geo_->partitionWidth();
+    PagedView lv = v;  // as in hSections
+    const auto run = [&](auto one) {
+        for (uint32_t p = 0; p < geo_->partitions; ++p)
+            vgatesCol<decltype(one)::value>(p * pw + slot, gs, n, lv);
+    };
+    lv.oneBlock() ? run(std::true_type{}) : run(std::false_type{});
+    v = lv;
+}
+
+void
+Crossbar::vgatesBlocks(uint32_t col, const VGate *gs, size_t n)
+{
+    for (size_t k = 0; k < n; ++k) {
+        // A gate that materialised a single-block column made it a
+        // run: the rest of the list takes the span.
+        if (uint64_t *w = runRW(col)) {
+            vgateWords(w, gs + k, n - k);
+            return;
+        }
+        const VGate &g = gs[k];
+        const uint32_t bOut = g.outWord / kBlockWords;
+        const uint32_t relOut = g.outWord % kBlockWords;
+        switch (g.gate) {
+          case Gate::Init0:
+            if (uint64_t *blk = blockIfPresent(col, bOut))
+                blk[relOut] &= ~g.outBit;
+            break;
+          case Gate::Init1:
+            blockRW(col, bOut)[relOut] |= g.outBit;
+            break;
+          case Gate::Not: {
+            // Extract the input bit BEFORE any clone can move blocks;
+            // NOT(0)=1 cannot switch a stateful output.
+            const uint64_t *in = blockRO(col, g.inWord / kBlockWords);
+            if (!in || !((in[g.inWord % kBlockWords] >> g.inShift) & 1))
+                break;
+            if (uint64_t *out = blockIfPresent(col, bOut))
+                out[relOut] &= ~g.outBit;
+            break;
+          }
+          case Gate::Nor:
+            break;  // unreachable: rejected at emission
+        }
+    }
+}
+
+template <ColKind K>
+void
+Crossbar::hSections(const Section *secs, uint32_t n, const ColMask &m,
+                    PagedView &v)
+{
+    // A local copy the compiler can keep in registers across the
+    // word loops' stores; single-block columns take the kOne
+    // resolvers, decided once per op.
+    PagedView lv = v;
+    const auto run = [&](auto one) {
+        for (uint32_t s = 0; s < n; ++s) {
+            const Section &sec = secs[s];
+            if (!sec.active())
+                continue;
+            const uint32_t inA = static_cast<uint32_t>(sec.inCol[0]);
+            colOp<K, decltype(one)::value>(
+                static_cast<uint32_t>(sec.outCol), inA,
+                sec.numIn == 2 ? static_cast<uint32_t>(sec.inCol[1])
+                               : inA,
+                m, lv);
+        }
+    };
+    lv.oneBlock() ? run(std::true_type{}) : run(std::false_type{});
+    v = lv;
+}
+
+void
+Crossbar::logicHPaged(const HalfGates &hg, bool fused, const ColMask &m,
+                      PagedView &v)
+{
+    // Where the mask reaches no block every gate kind is a no-op.
+    if (m.words && m.blocks->none)
+        return;
+    // One op's sections share their kind: dispatch once per op.
+    const Section *secs = hg.sections.data();
+    switch (colKindOf(hg.gate, fused)) {
+      case ColKind::Init0:
+        hSections<ColKind::Init0>(secs, hg.numSections, m, v);
+        break;
+      case ColKind::Init1:
+        hSections<ColKind::Init1>(secs, hg.numSections, m, v);
+        break;
+      case ColKind::NotNor:
+        hSections<ColKind::NotNor>(secs, hg.numSections, m, v);
+        break;
+      case ColKind::FusedNotNor:
+        hSections<ColKind::FusedNotNor>(secs, hg.numSections, m, v);
+        break;
+    }
+}
+
+void
+Crossbar::writeStripePaged(std::span<const StripeWrite> ws,
+                           const ColMask &m, PagedView &v)
+{
+    if (m.words && m.blocks->none)
+        return;
+    // A 1 bit sets the plane's selected rows, a 0 bit only clears.
+    const uint32_t pw = geo_->partitionWidth();
+    PagedView lv = v;  // as in hSections
+    const auto run = [&](auto one) {
+        constexpr bool kOne = decltype(one)::value;
+        for (uint32_t p = 0; p < geo_->wordBits; ++p) {
+            for (const StripeWrite &sw : ws) {
+                const uint32_t col = p * pw + sw.slot;
+                if ((sw.value >> p) & 1)
+                    colOp<ColKind::Init1, kOne>(col, col, col, m, lv);
+                else
+                    colOp<ColKind::Init0, kOne>(col, col, col, m, lv);
+            }
+        }
+    };
+    lv.oneBlock() ? run(std::true_type{}) : run(std::false_type{});
+    v = lv;
 }
 
 // --- horizontal logic ---------------------------------------------------
@@ -415,7 +721,9 @@ Crossbar::logicH(const HalfGates &hg, std::span<const uint64_t> rowMask)
     panicIf(rowMask.size() != wordsPerCol_,
             "logicH: row mask width mismatch");
     if (storage_ == XbarStorage::Paged) {
-        logicHPaged(hg, rowMask);
+        const MaskBlocks mb = MaskBlocks::of(rowMask);
+        PagedView v = pagedView();
+        logicHPaged(hg, false, {rowMask.data(), &mb}, v);
         return;
     }
     for (uint32_t s = 0; s < hg.numSections; ++s) {
@@ -448,95 +756,15 @@ Crossbar::logicH(const HalfGates &hg, std::span<const uint64_t> rowMask)
 }
 
 void
-Crossbar::logicHPaged(const HalfGates &hg,
-                      std::span<const uint64_t> rowMask)
-{
-    // A block where the realized row mask is all-zero is untouched by
-    // every gate kind, so presence never has to change there; hoist
-    // that test out of the section loop (the mask is shared).
-    uint8_t maskNZ[kMaxBlocksPerCol];
-    for (uint32_t b = 0; b < blocksPerCol_; ++b)
-        maskNZ[b] =
-            !allZero(rowMask.data() + b * kBlockWords, blockWords(b));
-
-    for (uint32_t s = 0; s < hg.numSections; ++s) {
-        const Section &sec = hg.sections[s];
-        if (!sec.active())
-            continue;
-        const uint32_t outCol = static_cast<uint32_t>(sec.outCol);
-        switch (hg.gate) {
-          case Gate::Init0:
-            // Can only clear bits: an absent output stays absent.
-            for (uint32_t b = 0; b < blocksPerCol_; ++b) {
-                if (!maskNZ[b])
-                    continue;
-                uint64_t *out = blockIfPresent(outCol, b);
-                if (!out)
-                    continue;
-                const uint64_t *m = rowMask.data() + b * kBlockWords;
-                const uint32_t used = blockWords(b);
-                for (uint32_t w = 0; w < used; ++w)
-                    out[w] &= ~m[w];
-            }
-            break;
-          case Gate::Init1:
-            // Sets bits wherever the mask selects: densify exactly
-            // the blocks the mask reaches into.
-            for (uint32_t b = 0; b < blocksPerCol_; ++b) {
-                if (!maskNZ[b])
-                    continue;
-                uint64_t *out = blockRW(outCol, b);
-                const uint64_t *m = rowMask.data() + b * kBlockWords;
-                const uint32_t used = blockWords(b);
-                for (uint32_t w = 0; w < used; ++w)
-                    out[w] |= m[w];
-            }
-            break;
-          case Gate::Not:
-          case Gate::Nor: {
-            const uint32_t inA = static_cast<uint32_t>(sec.inCol[0]);
-            const uint32_t inB = sec.numIn == 2
-                ? static_cast<uint32_t>(sec.inCol[1])
-                : inA;
-            for (uint32_t b = 0; b < blocksPerCol_; ++b) {
-                if (!maskNZ[b])
-                    continue;
-                // Absent inputs read as zero, so with both absent
-                // out &= ~0 leaves the output block untouched — skip
-                // before cloning anything. Absent output: stateful
-                // logic only clears bits, stays absent.
-                const bool aIn = blockRO(inA, b) != nullptr;
-                const bool bIn = blockRO(inB, b) != nullptr;
-                if (!aIn && !bIn)
-                    continue;
-                uint64_t *out = blockIfPresent(outCol, b);
-                if (!out)
-                    continue;
-                // Fetch inputs AFTER the output's clone step: cloning
-                // may grow the pool and move every block.
-                const uint64_t *a =
-                    aIn ? blockRO(inA, b) : kZeroBlock;
-                const uint64_t *bb =
-                    bIn ? blockRO(inB, b) : kZeroBlock;
-                const uint64_t *m = rowMask.data() + b * kBlockWords;
-                const uint32_t used = blockWords(b);
-                for (uint32_t w = 0; w < used; ++w)
-                    out[w] &= ~((a[w] | bb[w]) & m[w]);
-            }
-            break;
-          }
-        }
-    }
-}
-
-void
 Crossbar::logicHFusedInit1(const HalfGates &hg,
                            std::span<const uint64_t> rowMask)
 {
     panicIf(rowMask.size() != wordsPerCol_,
             "logicH: row mask width mismatch");
     if (storage_ == XbarStorage::Paged) {
-        logicHFusedInit1Paged(hg, rowMask);
+        const MaskBlocks mb = MaskBlocks::of(rowMask);
+        PagedView v = pagedView();
+        logicHPaged(hg, true, {rowMask.data(), &mb}, v);
         return;
     }
     for (uint32_t s = 0; s < hg.numSections; ++s) {
@@ -556,51 +784,11 @@ Crossbar::logicHFusedInit1(const HalfGates &hg,
 }
 
 void
-Crossbar::logicHFusedInit1Paged(const HalfGates &hg,
-                                std::span<const uint64_t> rowMask)
-{
-    uint8_t maskNZ[kMaxBlocksPerCol];
-    for (uint32_t b = 0; b < blocksPerCol_; ++b)
-        maskNZ[b] =
-            !allZero(rowMask.data() + b * kBlockWords, blockWords(b));
-
-    for (uint32_t s = 0; s < hg.numSections; ++s) {
-        const Section &sec = hg.sections[s];
-        if (!sec.active())
-            continue;
-        const uint32_t outCol = static_cast<uint32_t>(sec.outCol);
-        const uint32_t inA = static_cast<uint32_t>(sec.inCol[0]);
-        const uint32_t inB = sec.numIn == 2
-            ? static_cast<uint32_t>(sec.inCol[1])
-            : inA;
-        for (uint32_t b = 0; b < blocksPerCol_; ++b) {
-            // Where the mask is zero the fused form reduces to
-            // out = out: block untouched. Where it is nonzero the
-            // result sets a bit wherever both inputs read zero, so
-            // the output block must materialise even when every
-            // operand is absent (absent inputs ⇒ out |= mask).
-            if (!maskNZ[b])
-                continue;
-            uint64_t *out = blockRW(outCol, b);
-            const uint64_t *a = blockRO(inA, b);
-            const uint64_t *bb = blockRO(inB, b);
-            if (!a)
-                a = kZeroBlock;
-            if (!bb)
-                bb = kZeroBlock;
-            const uint64_t *m = rowMask.data() + b * kBlockWords;
-            const uint32_t used = blockWords(b);
-            for (uint32_t w = 0; w < used; ++w)
-                out[w] = (out[w] & ~m[w]) | (~(a[w] | bb[w]) & m[w]);
-        }
-    }
-}
-
-void
 Crossbar::logicHFull(const HalfGates &hg)
 {
     if (storage_ == XbarStorage::Paged) {
-        logicHFullPaged(hg);
+        PagedView v = pagedView();
+        logicHPaged(hg, false, kFullMask, v);
         return;
     }
     // All-ones realized mask: INIT is a fill and the gates drop the
@@ -633,38 +821,11 @@ Crossbar::logicHFull(const HalfGates &hg)
 }
 
 void
-Crossbar::logicHFullPaged(const HalfGates &hg)
-{
-    // Every block is mask-selected, so the per-block mask-nonzero
-    // scan of the masked kernel disappears entirely.
-    for (uint32_t s = 0; s < hg.numSections; ++s) {
-        const Section &sec = hg.sections[s];
-        if (!sec.active())
-            continue;
-        const uint32_t outCol = static_cast<uint32_t>(sec.outCol);
-        switch (hg.gate) {
-          case Gate::Init0:
-          case Gate::Init1:
-            fillColFull(outCol, hg.gate == Gate::Init1);
-            break;
-          case Gate::Not:
-          case Gate::Nor: {
-            const uint32_t inA = static_cast<uint32_t>(sec.inCol[0]);
-            norColFull(outCol, inA,
-                       sec.numIn == 2
-                           ? static_cast<uint32_t>(sec.inCol[1])
-                           : inA);
-            break;
-          }
-        }
-    }
-}
-
-void
 Crossbar::logicHFusedInit1Full(const HalfGates &hg)
 {
     if (storage_ == XbarStorage::Paged) {
-        logicHFusedInit1FullPaged(hg);
+        PagedView v = pagedView();
+        logicHPaged(hg, true, kFullMask, v);
         return;
     }
     for (uint32_t s = 0; s < hg.numSections; ++s) {
@@ -682,28 +843,17 @@ Crossbar::logicHFusedInit1Full(const HalfGates &hg)
     }
 }
 
-void
-Crossbar::logicHFusedInit1FullPaged(const HalfGates &hg)
-{
-    for (uint32_t s = 0; s < hg.numSections; ++s) {
-        const Section &sec = hg.sections[s];
-        if (!sec.active())
-            continue;
-        const uint32_t inA = static_cast<uint32_t>(sec.inCol[0]);
-        fusedNorColFull(static_cast<uint32_t>(sec.outCol), inA,
-                        sec.numIn == 2
-                            ? static_cast<uint32_t>(sec.inCol[1])
-                            : inA);
-    }
-}
-
 // --- vertical logic -----------------------------------------------------
 
 void
 Crossbar::logicV(Gate g, uint32_t rowIn, uint32_t rowOut, uint32_t slot)
 {
     if (storage_ == XbarStorage::Paged) {
-        logicVPaged(g, rowIn, rowOut, slot);
+        panicIf(g == Gate::Nor, "logicV: NOR is not supported vertically");
+        const VGate vg{g, rowIn / 64, rowIn % 64, rowOut / 64,
+                       1ull << (rowOut % 64)};
+        PagedView v = pagedView();
+        vgatesSlot(slot, &vg, 1, v);
         return;
     }
     // All loop-invariants hoisted: word indices, bit masks and the
@@ -736,57 +886,14 @@ Crossbar::logicV(Gate g, uint32_t rowIn, uint32_t rowOut, uint32_t slot)
     }
 }
 
-void
-Crossbar::logicVPaged(Gate g, uint32_t rowIn, uint32_t rowOut,
-                      uint32_t slot)
-{
-    const uint32_t pw = geo_->partitionWidth();
-    const uint32_t numPart = geo_->partitions;
-    const uint32_t outWord = rowOut / 64;
-    const uint32_t bOut = outWord / kBlockWords;
-    const uint32_t relOut = outWord % kBlockWords;
-    const uint64_t outBit = 1ull << (rowOut % 64);
-    switch (g) {
-      case Gate::Init0:
-        for (uint32_t p = 0; p < numPart; ++p) {
-            uint64_t *blk = blockIfPresent(p * pw + slot, bOut);
-            if (blk)
-                blk[relOut] &= ~outBit;
-        }
-        break;
-      case Gate::Init1:
-        for (uint32_t p = 0; p < numPart; ++p)
-            blockRW(p * pw + slot, bOut)[relOut] |= outBit;
-        break;
-      case Gate::Not: {
-        const uint32_t inWord = rowIn / 64;
-        const uint32_t bIn = inWord / kBlockWords;
-        const uint32_t relIn = inWord % kBlockWords;
-        const uint32_t inShift = rowIn % 64;
-        for (uint32_t p = 0; p < numPart; ++p) {
-            const uint32_t col = p * pw + slot;
-            const uint64_t *in = blockRO(col, bIn);
-            // Extract the input bit BEFORE any clone can move blocks.
-            const bool v = in && ((in[relIn] >> inShift) & 1);
-            if (!v)
-                continue;  // NOT(0)=1 cannot switch a stateful output
-            uint64_t *out = blockIfPresent(col, bOut);
-            if (out)
-                out[relOut] &= ~outBit;
-        }
-        break;
-      }
-      case Gate::Nor:
-        panic("logicV: NOR is not supported vertically");
-    }
-}
-
 // --- trace replay -------------------------------------------------------
 
 void
 Crossbar::replaySegment(const SegmentTrace &trace, uint32_t self,
                         Stats *work)
 {
+    const bool paged = storage_ == XbarStorage::Paged;
+    PagedView v = pagedView();
     const size_t n = trace.ops.size();
     for (size_t i = 0; i < n;) {
         const TraceOp &op = trace.ops[i];
@@ -799,58 +906,57 @@ Crossbar::replaySegment(const SegmentTrace &trace, uint32_t self,
                    trace.ops[j].index == op.index)
                 ++j;
             replayLogicVRun(trace.ops.data() + i, j - i, self, work);
+            v = pagedView();
             i = j;
             continue;
         }
         ++i;
         if (!op.xb.contains(self))
             continue;
+        const bool full = trace.rowMaskFull[op.rowMask] != 0;
+        // Paged kernels take the mask with its block summary from the
+        // trace; the dense entry points take the words.
+        const ColMask pm =
+            full ? kFullMask
+                 : ColMask{trace.rowMask(op.rowMask).data(),
+                           &trace.rowMaskBlocks[op.rowMask]};
         switch (op.type) {
           case OpType::Write: {
-            const bool full = trace.rowMaskFull[op.rowMask] != 0;
-            if (op.wn > 1) {
-                // Stripe of adjacent Writes merged by the trace
-                // fuser: distinct slots under one shared row mask.
-                const std::span<const StripeWrite> ws{
-                    trace.writePairs.data() + op.wrun, op.wn};
-                if (full)
-                    writeStripeFull(ws);
-                else
-                    writeStripe(ws, trace.rowMask(op.rowMask));
-                // Work conservation: the stripe applies wn
-                // architectural Writes.
-                if (work)
-                    work->recordN(OpClass::Write, op.wn);
-            } else {
-                if (full)
-                    writeFull(op.index, op.value);
-                else
-                    write(op.index, op.value,
-                          trace.rowMask(op.rowMask));
-                if (work)
-                    work->record(OpClass::Write);
-            }
+            // A plain Write is a stripe of one; a longer stripe holds
+            // adjacent Writes merged by the trace fuser (distinct
+            // slots under one shared row mask).
+            const StripeWrite one{op.index, op.value};
+            const std::span<const StripeWrite> ws =
+                op.wn > 1 ? std::span<const StripeWrite>{
+                                trace.writePairs.data() + op.wrun, op.wn}
+                          : std::span<const StripeWrite>{&one, 1};
+            if (paged)
+                writeStripePaged(ws, pm, v);
+            else if (full)
+                writeStripeFull(ws);
+            else
+                writeStripe(ws, trace.rowMask(op.rowMask));
+            // Work conservation: the stripe applies wn architectural
+            // Writes.
+            if (work)
+                work->recordN(OpClass::Write, op.wn);
             break;
           }
           case OpType::LogicH: {
             const HalfGates &hg = *op.hg;
-            const bool full = trace.rowMaskFull[op.rowMask] != 0;
-            if (op.fusedInit) {
-                if (full)
-                    logicHFusedInit1Full(hg);
-                else
-                    logicHFusedInit1(hg, trace.rowMask(op.rowMask));
-                // Two architectural ops applied in one pass.
-                if (work)
-                    work->recordN(OpClass::LogicH, 2);
-            } else {
-                if (full)
-                    logicHFull(hg);
-                else
-                    logicH(hg, trace.rowMask(op.rowMask));
-                if (work)
-                    work->record(OpClass::LogicH);
-            }
+            if (paged)
+                logicHPaged(hg, op.fusedInit, pm, v);
+            else if (op.fusedInit && full)
+                logicHFusedInit1Full(hg);
+            else if (op.fusedInit)
+                logicHFusedInit1(hg, trace.rowMask(op.rowMask));
+            else if (full)
+                logicHFull(hg);
+            else
+                logicH(hg, trace.rowMask(op.rowMask));
+            // A fused INIT1+gate applies two architectural ops.
+            if (work)
+                work->recordN(OpClass::LogicH, op.fusedInit ? 2 : 1);
             break;
           }
           default:
@@ -870,13 +976,6 @@ Crossbar::replayLogicVRun(const TraceOp *run, size_t n, uint32_t self,
     // processed in fixed-size chunks of decoded gate descriptors so
     // no scratch allocation is needed; chunk order preserves stream
     // order within each column, and columns are independent.
-    struct VGate
-    {
-        Gate gate;
-        uint32_t inWord, inShift;
-        uint32_t outWord;
-        uint64_t outBit;
-    };
     constexpr size_t kChunk = 64;
     VGate gates[kChunk];
     const uint32_t pw = geo_->partitionWidth();
@@ -902,66 +1001,35 @@ Crossbar::replayLogicVRun(const TraceOp *run, size_t n, uint32_t self,
         }
         if (m == 0)
             continue;
-        for (uint32_t p = 0; p < numPart; ++p) {
-            const uint32_t col = p * pw + slot;
-            if (paged) {
-                for (size_t k = 0; k < m; ++k) {
-                    const VGate &g = gates[k];
-                    const uint32_t bOut = g.outWord / kBlockWords;
-                    const uint32_t relOut = g.outWord % kBlockWords;
-                    switch (g.gate) {
-                      case Gate::Init0: {
-                        uint64_t *blk = blockIfPresent(col, bOut);
-                        if (blk)
-                            blk[relOut] &= ~g.outBit;
-                        break;
-                      }
-                      case Gate::Init1:
-                        blockRW(col, bOut)[relOut] |= g.outBit;
-                        break;
-                      case Gate::Not: {
-                        const uint64_t *in =
-                            blockRO(col, g.inWord / kBlockWords);
-                        const bool v =
-                            in && ((in[g.inWord % kBlockWords] >>
-                                    g.inShift) &
-                                   1);
-                        if (!v)
-                            break;
-                        uint64_t *out = blockIfPresent(col, bOut);
-                        if (out)
-                            out[relOut] &= ~g.outBit;
-                        break;
-                      }
-                      case Gate::Nor:
-                        break;  // unreachable: rejected at emission
-                    }
-                }
-                continue;
-            }
-            uint64_t *words = colWords(col);
-            for (size_t k = 0; k < m; ++k) {
-                const VGate &g = gates[k];
-                switch (g.gate) {
-                  case Gate::Init0:
-                    words[g.outWord] &= ~g.outBit;
-                    break;
-                  case Gate::Init1:
-                    words[g.outWord] |= g.outBit;
-                    break;
-                  case Gate::Not:
-                    if ((words[g.inWord] >> g.inShift) & 1)
-                        words[g.outWord] &= ~g.outBit;
-                    break;
-                  case Gate::Nor:
-                    break;  // unreachable: rejected at emission
-                }
-            }
+        if (paged) {
+            PagedView v = pagedView();
+            vgatesSlot(slot, gates, m, v);
+            continue;
         }
+        for (uint32_t p = 0; p < numPart; ++p)
+            vgateWords(colWords(p * pw + slot), gates, m);
     }
 }
 
 // --- compiled-program replay --------------------------------------------
+
+namespace
+{
+
+/** The paged kernels' mask of compiled instruction @p in: the
+ *  all-ones mask when the program or the instruction is full, else
+ *  its snapshot's words and block summary. */
+ColMask
+maskOf(const ReplayProgram &prog, const ReplayProgram::Instr &in,
+       bool allFull)
+{
+    if (allFull || in.maskFull)
+        return kFullMask;
+    return {prog.maskWords.data() + in.maskOff,
+            &prog.maskBlocks[in.maskOff / prog.wordsPerMask]};
+}
+
+} // namespace
 
 void
 Crossbar::replayProgram(const ReplayProgram &prog, uint32_t self,
@@ -982,6 +1050,21 @@ Crossbar::replayProgram(const ReplayProgram &prog, uint32_t self,
         else
             replayProgramT<false, false>(prog, self, work);
     }
+}
+
+template <ColKind K, class PSec>
+void
+Crossbar::pSections(const PSec *secs, uint32_t n, const ColMask &m,
+                    PagedView &v)
+{
+    // Most passes hold one to three sections, so unlike hSections the
+    // view is used in place rather than copied in and out.
+    const auto run = [&](auto one) {
+        for (uint32_t s = 0; s < n; ++s)
+            colOp<K, decltype(one)::value>(secs[s].outCol, secs[s].inA,
+                                           secs[s].inB, m, v);
+    };
+    v.oneBlock() ? run(std::true_type{}) : run(std::false_type{});
 }
 
 template <bool kPaged, bool kFull>
@@ -1005,7 +1088,9 @@ Crossbar::replayProgramT(const ReplayProgram &prog, uint32_t self,
     }
     const uint32_t wpc = wordsPerCol_;
     const uint32_t pw = geo_->partitionWidth();
-    uint8_t maskNZ[kMaxBlocksPerCol];
+    // Paged: one view for the whole program, refreshed by the kernels
+    // after any call that can grow the table or pool.
+    PagedView v = kPaged ? pagedView() : PagedView{};
     for (const ReplayProgram::Instr &in : prog.instrs) {
         if (!uni) {
             if (!in.xb.contains(self))
@@ -1018,31 +1103,38 @@ Crossbar::replayProgramT(const ReplayProgram &prog, uint32_t self,
             const ReplayProgram::PSection *secs =
                 prog.sections.data() + in.off;
             const uint64_t *m = prog.maskWords.data() + in.maskOff;
-            if (kFull || in.maskFull) {
-                if (kPaged) {
-                    // Blend-free paged pass: each section resolves its
-                    // columns once — contiguous runs take the dense
-                    // word loop over one span, any other column the
-                    // per-block path (see the *ColFull kernels).
-                    for (uint32_t s = 0; s < in.count; ++s) {
-                        const ReplayProgram::PSection &sec = secs[s];
-                        switch (sec.kind) {
-                          case SecKind::Init0:
-                          case SecKind::Init1:
-                            fillColFull(sec.outCol,
-                                        sec.kind == SecKind::Init1);
-                            break;
-                          case SecKind::NotNor:
-                            norColFull(sec.outCol, sec.inA, sec.inB);
-                            break;
-                          case SecKind::FusedNotNor:
-                            fusedNorColFull(sec.outCol, sec.inA,
-                                            sec.inB);
-                            break;
-                        }
-                    }
+            if (kPaged) {
+                // Each section resolves its columns once: contiguous
+                // runs take the dense word loop over one span, any
+                // other column the per-block loop (colOp). The pass
+                // is order-free, and a mask that reaches no block
+                // leaves every section untouched.
+                const ColMask pm = maskOf(prog, in, kFull);
+                if (pm.words && pm.blocks->none)
                     break;
+                switch (in.passKind) {
+                  case static_cast<uint8_t>(SecKind::Init0):
+                    pSections<SecKind::Init0>(secs, in.count, pm, v);
+                    break;
+                  case static_cast<uint8_t>(SecKind::Init1):
+                    pSections<SecKind::Init1>(secs, in.count, pm, v);
+                    break;
+                  case static_cast<uint8_t>(SecKind::NotNor):
+                    pSections<SecKind::NotNor>(secs, in.count, pm, v);
+                    break;
+                  case static_cast<uint8_t>(SecKind::FusedNotNor):
+                    pSections<SecKind::FusedNotNor>(secs, in.count, pm, v);
+                    break;
+                  default: {  // mixed pass: dispatch per section
+                    for (uint32_t s = 0; s < in.count; ++s)
+                        colOp(secs[s].kind, secs[s].outCol,
+                              secs[s].inA, secs[s].inB, pm, v);
+                    break;
+                  }
                 }
+                break;
+            }
+            if (kFull || in.maskFull) {
                 if (in.passKind != ReplayProgram::kMixedPass) {
                     // Kind-homogeneous blend-free pass (the common
                     // case: one op's sections share their gate, and
@@ -1153,109 +1245,34 @@ Crossbar::replayProgramT(const ReplayProgram &prog, uint32_t self,
                 }
                 break;
             }
-            // Partial mask: the mask-nonzero block scan runs once for
-            // the whole pass (the interpreter pays it once PER OP).
-            if (kPaged)
-                for (uint32_t b = 0; b < blocksPerCol_; ++b)
-                    maskNZ[b] = !allZero(m + b * kBlockWords,
-                                         blockWords(b));
+            // Partial mask, dense slab: the blended word loops.
             for (uint32_t s = 0; s < in.count; ++s) {
                 const ReplayProgram::PSection &sec = secs[s];
-                if (!kPaged) {
-                    uint64_t *out = colWords(sec.outCol);
-                    switch (sec.kind) {
-                      case SecKind::Init0:
-                        for (uint32_t w = 0; w < wpc; ++w)
-                            out[w] &= ~m[w];
-                        break;
-                      case SecKind::Init1:
-                        for (uint32_t w = 0; w < wpc; ++w)
-                            out[w] |= m[w];
-                        break;
-                      case SecKind::NotNor: {
-                        const uint64_t *a = colWords(sec.inA);
-                        const uint64_t *b = colWords(sec.inB);
-                        for (uint32_t w = 0; w < wpc; ++w)
-                            out[w] &= ~((a[w] | b[w]) & m[w]);
-                        break;
-                      }
-                      case SecKind::FusedNotNor: {
-                        const uint64_t *a = colWords(sec.inA);
-                        const uint64_t *b = colWords(sec.inB);
-                        for (uint32_t w = 0; w < wpc; ++w)
-                            out[w] = (out[w] & ~m[w]) |
-                                     (~(a[w] | b[w]) & m[w]);
-                        break;
-                      }
-                    }
-                    continue;
-                }
+                uint64_t *out = colWords(sec.outCol);
                 switch (sec.kind) {
                   case SecKind::Init0:
-                    for (uint32_t b = 0; b < blocksPerCol_; ++b) {
-                        if (!maskNZ[b])
-                            continue;
-                        uint64_t *out = blockIfPresent(sec.outCol, b);
-                        if (!out)
-                            continue;
-                        const uint64_t *mb = m + b * kBlockWords;
-                        const uint32_t used = blockWords(b);
-                        for (uint32_t w = 0; w < used; ++w)
-                            out[w] &= ~mb[w];
-                    }
+                    for (uint32_t w = 0; w < wpc; ++w)
+                        out[w] &= ~m[w];
                     break;
                   case SecKind::Init1:
-                    for (uint32_t b = 0; b < blocksPerCol_; ++b) {
-                        if (!maskNZ[b])
-                            continue;
-                        uint64_t *out = blockRW(sec.outCol, b);
-                        const uint64_t *mb = m + b * kBlockWords;
-                        const uint32_t used = blockWords(b);
-                        for (uint32_t w = 0; w < used; ++w)
-                            out[w] |= mb[w];
-                    }
+                    for (uint32_t w = 0; w < wpc; ++w)
+                        out[w] |= m[w];
                     break;
-                  case SecKind::NotNor:
-                    for (uint32_t b = 0; b < blocksPerCol_; ++b) {
-                        if (!maskNZ[b])
-                            continue;
-                        const bool aIn =
-                            blockRO(sec.inA, b) != nullptr;
-                        const bool bIn =
-                            blockRO(sec.inB, b) != nullptr;
-                        if (!aIn && !bIn)
-                            continue;
-                        uint64_t *out = blockIfPresent(sec.outCol, b);
-                        if (!out)
-                            continue;
-                        const uint64_t *a =
-                            aIn ? blockRO(sec.inA, b) : kZeroBlock;
-                        const uint64_t *bb =
-                            bIn ? blockRO(sec.inB, b) : kZeroBlock;
-                        const uint64_t *mb = m + b * kBlockWords;
-                        const uint32_t used = blockWords(b);
-                        for (uint32_t w = 0; w < used; ++w)
-                            out[w] &= ~((a[w] | bb[w]) & mb[w]);
-                    }
+                  case SecKind::NotNor: {
+                    const uint64_t *a = colWords(sec.inA);
+                    const uint64_t *b = colWords(sec.inB);
+                    for (uint32_t w = 0; w < wpc; ++w)
+                        out[w] &= ~((a[w] | b[w]) & m[w]);
                     break;
-                  case SecKind::FusedNotNor:
-                    for (uint32_t b = 0; b < blocksPerCol_; ++b) {
-                        if (!maskNZ[b])
-                            continue;
-                        uint64_t *out = blockRW(sec.outCol, b);
-                        const uint64_t *a = blockRO(sec.inA, b);
-                        const uint64_t *bb = blockRO(sec.inB, b);
-                        if (!a)
-                            a = kZeroBlock;
-                        if (!bb)
-                            bb = kZeroBlock;
-                        const uint64_t *mb = m + b * kBlockWords;
-                        const uint32_t used = blockWords(b);
-                        for (uint32_t w = 0; w < used; ++w)
-                            out[w] = (out[w] & ~mb[w]) |
-                                     (~(a[w] | bb[w]) & mb[w]);
-                    }
+                  }
+                  case SecKind::FusedNotNor: {
+                    const uint64_t *a = colWords(sec.inA);
+                    const uint64_t *b = colWords(sec.inB);
+                    for (uint32_t w = 0; w < wpc; ++w)
+                        out[w] = (out[w] & ~m[w]) |
+                                 (~(a[w] | b[w]) & m[w]);
                     break;
+                  }
                 }
             }
             break;
@@ -1263,7 +1280,9 @@ Crossbar::replayProgramT(const ReplayProgram &prog, uint32_t self,
           case ReplayProgram::Kind::WStripe: {
             const std::span<const StripeWrite> ws{
                 prog.pairs.data() + in.off, in.count};
-            if (kFull || in.maskFull)
+            if (kPaged)
+                writeStripePaged(ws, maskOf(prog, in, kFull), v);
+            else if (kFull || in.maskFull)
                 writeStripeFull(ws);
             else
                 writeStripe(ws,
@@ -1277,65 +1296,12 @@ Crossbar::replayProgramT(const ReplayProgram &prog, uint32_t self,
             // checks — the compiler made the run's range uniform).
             const ReplayProgram::VGate *gs =
                 prog.vgates.data() + in.off;
-            for (uint32_t part = 0; part < geo_->partitions; ++part) {
-                const uint32_t col = part * pw + in.slot;
-                if (kPaged) {
-                    for (uint32_t k = 0; k < in.count; ++k) {
-                        const ReplayProgram::VGate &g = gs[k];
-                        const uint32_t bOut =
-                            g.outWord / kBlockWords;
-                        const uint32_t relOut =
-                            g.outWord % kBlockWords;
-                        switch (g.gate) {
-                          case Gate::Init0: {
-                            uint64_t *blk = blockIfPresent(col, bOut);
-                            if (blk)
-                                blk[relOut] &= ~g.outBit;
-                            break;
-                          }
-                          case Gate::Init1:
-                            blockRW(col, bOut)[relOut] |= g.outBit;
-                            break;
-                          case Gate::Not: {
-                            const uint64_t *inb =
-                                blockRO(col, g.inWord / kBlockWords);
-                            const bool v =
-                                inb &&
-                                ((inb[g.inWord % kBlockWords] >>
-                                  g.inShift) &
-                                 1);
-                            if (!v)
-                                break;
-                            uint64_t *out = blockIfPresent(col, bOut);
-                            if (out)
-                                out[relOut] &= ~g.outBit;
-                            break;
-                          }
-                          case Gate::Nor:
-                            break;  // unreachable: rejected earlier
-                        }
-                    }
-                    continue;
-                }
-                uint64_t *words = colWords(col);
-                for (uint32_t k = 0; k < in.count; ++k) {
-                    const ReplayProgram::VGate &g = gs[k];
-                    switch (g.gate) {
-                      case Gate::Init0:
-                        words[g.outWord] &= ~g.outBit;
-                        break;
-                      case Gate::Init1:
-                        words[g.outWord] |= g.outBit;
-                        break;
-                      case Gate::Not:
-                        if ((words[g.inWord] >> g.inShift) & 1)
-                            words[g.outWord] &= ~g.outBit;
-                        break;
-                      case Gate::Nor:
-                        break;  // unreachable: rejected earlier
-                    }
-                }
+            if (kPaged) {
+                vgatesSlot(in.slot, gs, in.count, v);
+                break;
             }
+            for (uint32_t part = 0; part < geo_->partitions; ++part)
+                vgateWords(colWords(part * pw + in.slot), gs, in.count);
             break;
           }
         }
@@ -1351,7 +1317,10 @@ Crossbar::write(uint32_t slot, uint32_t value,
     panicIf(rowMask.size() != wordsPerCol_,
             "write: row mask width mismatch");
     if (storage_ == XbarStorage::Paged) {
-        writePaged(slot, value, rowMask);
+        const StripeWrite one{slot, value};
+        const MaskBlocks mb = MaskBlocks::of(rowMask);
+        PagedView v = pagedView();
+        writeStripePaged({&one, 1}, {rowMask.data(), &mb}, v);
         return;
     }
     const uint32_t pw = geo_->partitionWidth();
@@ -1368,46 +1337,15 @@ Crossbar::write(uint32_t slot, uint32_t value,
 }
 
 void
-Crossbar::writePaged(uint32_t slot, uint32_t value,
-                     std::span<const uint64_t> rowMask)
-{
-    uint8_t maskNZ[kMaxBlocksPerCol];
-    for (uint32_t b = 0; b < blocksPerCol_; ++b)
-        maskNZ[b] =
-            !allZero(rowMask.data() + b * kBlockWords, blockWords(b));
-    const uint32_t pw = geo_->partitionWidth();
-    for (uint32_t p = 0; p < geo_->wordBits; ++p) {
-        const uint32_t col = p * pw + slot;
-        const bool set = (value >> p) & 1;
-        for (uint32_t b = 0; b < blocksPerCol_; ++b) {
-            if (!maskNZ[b])
-                continue;  // no selected row in this block
-            const uint64_t *m = rowMask.data() + b * kBlockWords;
-            const uint32_t used = blockWords(b);
-            if (set) {
-                uint64_t *blk = blockRW(col, b);
-                for (uint32_t w = 0; w < used; ++w)
-                    blk[w] |= m[w];
-            } else {
-                // Writing a 0 bit only clears: absent stays absent.
-                uint64_t *blk = blockIfPresent(col, b);
-                if (!blk)
-                    continue;
-                for (uint32_t w = 0; w < used; ++w)
-                    blk[w] &= ~m[w];
-            }
-        }
-    }
-}
-
-void
 Crossbar::writeStripe(std::span<const StripeWrite> ws,
                       std::span<const uint64_t> rowMask)
 {
     panicIf(rowMask.size() != wordsPerCol_,
             "writeStripe: row mask width mismatch");
     if (storage_ == XbarStorage::Paged) {
-        writeStripePaged(ws, rowMask);
+        const MaskBlocks mb = MaskBlocks::of(rowMask);
+        PagedView v = pagedView();
+        writeStripePaged(ws, {rowMask.data(), &mb}, v);
         return;
     }
     // Partition-major: every stripe column of partition p is written
@@ -1430,44 +1368,12 @@ Crossbar::writeStripe(std::span<const StripeWrite> ws,
 }
 
 void
-Crossbar::writeStripePaged(std::span<const StripeWrite> ws,
-                           std::span<const uint64_t> rowMask)
-{
-    uint8_t maskNZ[kMaxBlocksPerCol];
-    for (uint32_t b = 0; b < blocksPerCol_; ++b)
-        maskNZ[b] =
-            !allZero(rowMask.data() + b * kBlockWords, blockWords(b));
-    const uint32_t pw = geo_->partitionWidth();
-    for (uint32_t p = 0; p < geo_->wordBits; ++p) {
-        for (const StripeWrite &sw : ws) {
-            const uint32_t col = p * pw + sw.slot;
-            const bool set = (sw.value >> p) & 1;
-            for (uint32_t b = 0; b < blocksPerCol_; ++b) {
-                if (!maskNZ[b])
-                    continue;
-                const uint64_t *m = rowMask.data() + b * kBlockWords;
-                const uint32_t used = blockWords(b);
-                if (set) {
-                    uint64_t *blk = blockRW(col, b);
-                    for (uint32_t w = 0; w < used; ++w)
-                        blk[w] |= m[w];
-                } else {
-                    uint64_t *blk = blockIfPresent(col, b);
-                    if (!blk)
-                        continue;
-                    for (uint32_t w = 0; w < used; ++w)
-                        blk[w] &= ~m[w];
-                }
-            }
-        }
-    }
-}
-
-void
 Crossbar::writeFull(uint32_t slot, uint32_t value)
 {
     if (storage_ == XbarStorage::Paged) {
-        writeFullPaged(slot, value);
+        const StripeWrite one{slot, value};
+        PagedView v = pagedView();
+        writeStripePaged({&one, 1}, kFullMask, v);
         return;
     }
     // All-ones mask: every plane column becomes a pure fill.
@@ -1480,18 +1386,11 @@ Crossbar::writeFull(uint32_t slot, uint32_t value)
 }
 
 void
-Crossbar::writeFullPaged(uint32_t slot, uint32_t value)
-{
-    const uint32_t pw = geo_->partitionWidth();
-    for (uint32_t p = 0; p < geo_->wordBits; ++p)
-        fillColFull(p * pw + slot, (value >> p) & 1);
-}
-
-void
 Crossbar::writeStripeFull(std::span<const StripeWrite> ws)
 {
     if (storage_ == XbarStorage::Paged) {
-        writeStripeFullPaged(ws);
+        PagedView v = pagedView();
+        writeStripePaged(ws, kFullMask, v);
         return;
     }
     const uint32_t pw = geo_->partitionWidth();
@@ -1502,15 +1401,6 @@ Crossbar::writeStripeFull(std::span<const StripeWrite> ws)
                       (sw.value >> p) & 1 ? ~0ull : 0);
         }
     }
-}
-
-void
-Crossbar::writeStripeFullPaged(std::span<const StripeWrite> ws)
-{
-    const uint32_t pw = geo_->partitionWidth();
-    for (uint32_t p = 0; p < geo_->wordBits; ++p)
-        for (const StripeWrite &sw : ws)
-            fillColFull(p * pw + sw.slot, (sw.value >> p) & 1);
 }
 
 uint32_t
@@ -2145,6 +2035,9 @@ Crossbar::storageGauges() const
         if (pool_->refCount(id) > 1)
             ++g.cowShared;
     }
+    if (!table_.empty())
+        for (uint32_t col = 0; col < geo_->cols; ++col)
+            g.runColumns += isRun(col);
     g.blocksElided = total - g.blocksPresent;
     g.residentBytes = table_.capacity() * sizeof(uint32_t) +
                       (pool_ ? pool_->residentBytes() : 0);

@@ -29,31 +29,60 @@
  * only when the row mask actually selects a row inside it.
  *
  * Contiguous column runs: an op that materialises EVERY block of an
- * all-absent column (full-mask INIT1 and fused INIT1+NOR outputs,
- * full-mask writes and stripes setting a plane, and bulk scatters
- * whose per-block pre-scan shows every block of a plane receiving a
- * set bit) allocates that column's blocks as one run of consecutive
- * pool ids and sets the column's run bit (one bit per column, next
- * to the table; the run base is the table entry of block 0). A
- * present column of a single block is a run by definition. The
- * full-mask kernels then resolve each column once to a plain
- * wordsPerCol-word span and run the dense word loop over it, instead
- * of resolving every block through the table; if the output or an
- * input is laid out block by block, the op takes the per-block path
- * instead. On the fig12_dense benchmark workload (4-vCPU 2.1 GHz Xeon VM) this
- * took compiled replay from 65 to 34 ns per crossbar micro-op and
- * instr/s from 188 to 339 (medians of 10 pairs). A run output is only
- * written in place while unshared: a snapshot copies the whole
- * table, so it shares a run whole and the refcount of block 0 speaks
- * for every block. Any other output takes the per-block path, so
- * elision and copy-on-write behave exactly as without runs. The bit
- * is cleared wherever the column's table entries change: a COW clone
- * in blockRW/blockIfPresent (which loadBlock goes through), compact()
- * eliding one of its blocks, restore() and resetState(). Runs are
- * allocated, never relocated: a run reuses the free list only when
- * its top ids are consecutive (a run freed whole) and otherwise
- * appends only while the free list is empty, so pool growth never
- * exceeds what per-block allocation would cost.
+ * all-absent column (INIT1 and fused INIT1+NOR outputs and writes
+ * setting a plane, under a row mask that reaches every block, and
+ * bulk scatters whose per-block pre-scan shows every block of a plane
+ * receiving a set bit) allocates that column's blocks as one run of
+ * consecutive pool ids and sets the column's run bit (one bit per
+ * column, next to the table; the run base is the table entry of
+ * block 0). A present column of a single block is a run by
+ * definition. One set of paged column kernels (fill/INIT and write
+ * planes, stateful NOR/NOT, fused INIT1+NOR, each with an optional
+ * row mask; and the LogicV gate list of one partition column) serves
+ * every op kind, masked or full-mask, interpreted or compiled: each
+ * resolves its output column once, then its inputs, and runs the
+ * dense word loop over one wordsPerCol-word span when all of them are
+ * spans; otherwise it takes the one per-block loop. Masks come with a
+ * per-block summary (MaskBlocks), precomputed once per row-mask
+ * snapshot at trace build, so no kernel rescans mask words to decide
+ * presence. On the fig12_dense benchmark workload (4-vCPU 2.1 GHz
+ * Xeon VM) runs took compiled replay from 65 to 34 ns per crossbar
+ * micro-op and instr/s from 188 to 339 (medians of 10 pairs); the
+ * masked kernels' numbers are in ROADMAP item 2.
+ *
+ * Column resolution is kept cheap: a PagedView holds the table, run
+ * bits, refcounts and pool base pointers for a whole op, segment or
+ * program and is refreshed only after a call that can allocate or
+ * clone; the refcount lookup is skipped while no pool block is shared
+ * with a snapshot; and when every column is one block (rows <= 512)
+ * the kernels take single-block resolvers with no run-bit or
+ * null-table test. A pool block holds kBlockWords words, or the
+ * whole column when it is shorter, so shallow crossbars keep dense
+ * storage's footprint.
+ *
+ * Presence rules — the span path changes presence and copy-on-write
+ * exactly as the per-block loop would:
+ *  - an output column materialises as a run only when the row mask
+ *    reaches every block (MaskBlocks::every): the set of blocks the
+ *    per-block loop would densify; a mask missing a block leaves an
+ *    absent column to the per-block loop;
+ *  - clearing kinds (INIT0, NOR/NOT, a 0 plane of a write) never
+ *    materialise: an absent output stays absent;
+ *  - a run output is only written in place while unshared: a
+ *    snapshot copies the whole table, so it shares a run whole and
+ *    the refcount of block 0 speaks for every block; a shared run
+ *    takes the per-block clone path;
+ *  - inputs resolve after the output, because materialising may grow
+ *    (and move) the pool.
+ * On an unshared run every block is present, so the span loop changes
+ * no presence: where the mask is zero the words are left as they are.
+ * The bit is cleared wherever the column's table entries change: a
+ * COW clone in blockRW/blockIfPresent (which loadBlock goes through),
+ * compact() eliding one of its blocks, restore() and resetState().
+ * Runs are allocated, never relocated: a run reuses the free list
+ * only when its top ids are consecutive (a run freed whole) and
+ * otherwise appends only while the free list is empty, so pool growth
+ * never exceeds what per-block allocation would cost.
  *
  * On top of the block table, snapshot() returns a refcounted
  * copy-on-write image sharing every present block with the live
@@ -103,6 +132,56 @@ struct StripeWrite
     uint32_t value = 0;
 };
 
+/**
+ * Which kBlockWords-word paged blocks of a column a realized row mask
+ * reaches: bit b is set iff some mask word of block b is nonzero. The
+ * paged kernels densify an output block only where the mask reaches,
+ * and lay an absent column out as one run only when it reaches every
+ * block. Precomputed once per row-mask snapshot at trace build
+ * (SegmentTrace::rowMaskBlocks, ReplayProgram::maskBlocks).
+ */
+struct MaskBlocks
+{
+    /** One bit per block: rows <= 65536 gives <= 128 blocks. */
+    uint64_t bits[2] = {};
+    bool every = false;  //!< reaches every block of the column
+    bool none = true;    //!< reaches no block
+
+    /** Summary of one column's worth of realized mask words. */
+    static MaskBlocks of(std::span<const uint64_t> words);
+
+    bool
+    reaches(uint32_t b) const
+    {
+        return (bits[b >> 6] >> (b & 63)) & 1;
+    }
+};
+
+/** A realized row mask as the paged column kernels take it. */
+struct ColMask
+{
+    const uint64_t *words = nullptr;     //!< null: the all-ones mask
+    const MaskBlocks *blocks = nullptr;  //!< blocks @ref words reaches
+};
+
+/** What one column kernel computes on its output column. */
+enum class ColKind : uint8_t
+{
+    Init0,      //!< out &= ~mask (full: out = 0)
+    Init1,      //!< out |= mask (full: out = ~0)
+    NotNor,     //!< out &= ~((a|b) & mask)
+    FusedNotNor //!< out = (out & ~mask) | (~(a|b) & mask)
+};
+
+/** One decoded LogicV gate, in the word/bit form replay applies. */
+struct VGate
+{
+    Gate gate = Gate::Init0;
+    uint32_t inWord = 0, inShift = 0;
+    uint32_t outWord = 0;
+    uint64_t outBit = 0;
+};
+
 /** Point-in-time storage footprint of a crossbar (or a sum of them).
  *  Pure observability — never part of the architectural Stats, whose
  *  exact equality the parity suites assert across storage modes. */
@@ -112,6 +191,7 @@ struct StorageGauges
     uint64_t blocksPresent = 0;  //!< materialised (non-elided) blocks
     uint64_t blocksElided = 0;   //!< absent blocks costing zero bytes
     uint64_t cowShared = 0;      //!< present blocks shared with snapshots
+    uint64_t runColumns = 0;     //!< present columns laid out as runs
     uint64_t residentBytes = 0;  //!< bytes actually allocated for state
 
     StorageGauges &
@@ -121,6 +201,7 @@ struct StorageGauges
         blocksPresent += o.blocksPresent;
         blocksElided += o.blocksElided;
         cowShared += o.cowShared;
+        runColumns += o.runColumns;
         residentBytes += o.residentBytes;
         return *this;
     }
@@ -340,11 +421,7 @@ class Crossbar
     /** Whether column @p col is laid out as one contiguous run in the
      *  block pool (paged storage; see file header). Observability
      *  only — runs never change architectural state. */
-    bool
-    columnIsRun(uint32_t col) const
-    {
-        return !table_.empty() && isRun(col);
-    }
+    bool columnIsRun(uint32_t col) const;
 
     /**
      * CANONICAL walk of the state for serialization and checksums:
@@ -449,19 +526,80 @@ class Crossbar
      */
     uint64_t *blockIfPresent(uint32_t col, uint32_t b);
 
-    /** Allocate the lazy block table / pool on first densification. */
-    void ensureTable();
-
-    /** Whether @p col is a run (table_ must be allocated). A present
-     *  single-block column is one trivially; deeper columns carry
-     *  their run bit. */
-    bool
-    isRun(uint32_t col) const
+    /** Allocate the lazy block table / pool on first densification
+     *  (the emptiness test is inline; the allocation is not). */
+    void
+    ensureTable()
     {
-        if (blocksPerCol_ == 1)
-            return table_[col] != kAbsent;
-        return (runs_[col >> 6] >> (col & 63)) & 1;
+        if (table_.empty())
+            allocTable();
     }
+    void allocTable();
+
+    /**
+     * Base pointers of the paged table, run bits and pool for the
+     * kernels of one op (a null table: never densified). Valid until
+     * the next call that can allocate or clone a block (allocColRun,
+     * colBlocks, vgatesBlocks), after which the caller takes a fresh
+     * one — so the per-column lookups stay in registers.
+     */
+    struct PagedView
+    {
+        const uint32_t *table = nullptr;
+        const uint64_t *runs = nullptr;
+        const uint32_t *refs = nullptr;
+        uint64_t *words = nullptr;
+        uint32_t blocksPerCol = 0;
+        uint32_t blockStride = 0;  //!< words per pool block
+        /** Some pool block is shared with a snapshot. Sharing only
+         *  grows at snapshot()/restore(), never inside an op, so a
+         *  false here lets runRW skip the refcount lookup. */
+        bool anyShared = false;
+
+        /** Whether @p col is a run (table must be non-null). A present
+         *  single-block column is one trivially; deeper columns carry
+         *  their run bit. */
+        bool
+        isRun(uint32_t col) const
+        {
+            if (blocksPerCol == 1)
+                return table[col] != kAbsent;
+            return (runs[col >> 6] >> (col & 63)) & 1;
+        }
+        /** The table exists and every column is one block: the kOne
+         *  resolvers below apply (no run bits, no null-table test). */
+        bool oneBlock() const { return table && blocksPerCol == 1; }
+        /** Words of run column @p col if it is unshared (safe to write
+         *  in place), else null. */
+        template <bool kOne = false>
+        uint64_t *
+        runRW(uint32_t col) const
+        {
+            uint32_t id;
+            if constexpr (kOne) {
+                id = table[col];
+                if (id == kAbsent)
+                    return nullptr;
+            } else {
+                if (!table || !isRun(col))
+                    return nullptr;
+                id = table[static_cast<size_t>(col) * blocksPerCol];
+            }
+            // A snapshot copies the whole table, so it shares a run
+            // whole: block 0's refcount speaks for every block.
+            return anyShared && refs[id] != 1
+                ? nullptr
+                : words + static_cast<size_t>(id) * blockStride;
+        }
+        /** Read-only words of @p col: the run span, an all-zero span
+         *  if the column is entirely absent, else null (per-block
+         *  path). */
+        template <bool kOne = false>
+        const uint64_t *runRO(uint32_t col) const;
+    };
+    PagedView pagedView() const;
+
+    bool isRun(uint32_t col) const { return pagedView().isRun(col); }
     void
     clearRun(uint32_t col)
     {
@@ -469,9 +607,8 @@ class Crossbar
     }
     /** Every block of @p col is absent. */
     bool colAbsent(uint32_t col) const;
-    /** Words of run column @p col if it is unshared (safe to write in
-     *  place), else null. */
-    uint64_t *runRW(uint32_t col);
+    /** Words of run column @p col if it is unshared, else null. */
+    uint64_t *runRW(uint32_t col) { return pagedView().runRW(col); }
     /**
      * runRW, or — when @p col is entirely absent — allocate it as a
      * fresh zeroed run (the caller is about to materialise every
@@ -482,35 +619,49 @@ class Crossbar
     uint64_t *runMaterialise(uint32_t col);
     /** The allocating half of runMaterialise. */
     uint64_t *allocColRun(uint32_t col);
-    /** Read-only words of @p col: the run span, an all-zero span if
-     *  the column is entirely absent, else null (per-block path). */
-    const uint64_t *runRO(uint32_t col) const;
 
-    // Full-mask column kernels shared by the interpreter's *Full entry
-    // points and the compiled executor: the dense word loop when the
-    // output and both inputs resolve to spans, the per-block *Blocks
-    // loop otherwise.
-    /** INIT1 / set plane (@p ones) or INIT0 / clear plane. */
-    void fillColFull(uint32_t col, bool ones);
-    void fillColBlocks(uint32_t col, bool ones);
-    /** Stateful NOR/NOT: out &= ~(a | b). */
-    void norColFull(uint32_t out, uint32_t a, uint32_t b);
-    void norColBlocks(uint32_t out, uint32_t a, uint32_t b);
-    /** Fused INIT1+NOR/NOT: out = ~(a | b). */
-    void fusedNorColFull(uint32_t out, uint32_t a, uint32_t b);
-    void fusedNorColBlocks(uint32_t out, uint32_t a, uint32_t b);
+    // The paged column kernels (see the file header): every paged op
+    // kind, interpreted or compiled, masked or full-mask, reduces to
+    // these. colOp resolves the output column, then the inputs, and
+    // runs the dense word loop over the spans; colBlocks is the one
+    // per-block loop it falls back to.
+    template <ColKind K, bool kOne = false>
+    void colOp(uint32_t out, uint32_t a, uint32_t b, const ColMask &m,
+               PagedView &v);
+    void colOp(ColKind k, uint32_t out, uint32_t a, uint32_t b,
+               const ColMask &m, PagedView &v);
+    void colBlocks(ColKind k, uint32_t out, uint32_t a, uint32_t b,
+                   const ColMask &m);
+    /** Apply @p n LogicV gates in order to partition column @p col:
+     *  on its span while runRW resolves, per block otherwise. */
+    template <bool kOne = false>
+    void vgatesCol(uint32_t col, const VGate *gs, size_t n,
+                   PagedView &v);
+    /** vgatesCol over the column at index @p slot of every
+     *  partition (one LogicV run, or one LogicV op). */
+    void vgatesSlot(uint32_t slot, const VGate *gs, size_t n,
+                    PagedView &v);
+    void vgatesBlocks(uint32_t col, const VGate *gs, size_t n);
+    /** colOp<K> over the active sections of one LogicH expansion, or
+     *  over the sections of one kind-homogeneous compiled pass. */
+    template <ColKind K>
+    void hSections(const Section *secs, uint32_t n, const ColMask &m,
+                   PagedView &v);
+    template <ColKind K, class PSec>
+    void pSections(const PSec *secs, uint32_t n, const ColMask &m,
+                   PagedView &v);
 
-    // Paged op bodies (crossbar.cpp); the public entry points branch
-    // once per op so the dense loops stay byte-identical to the
+    // Paged op bodies over the column kernels; the public entry points
+    // branch once per op so the dense loops stay byte-identical to the
     // historical implementation.
-    void logicHPaged(const HalfGates &hg,
-                     std::span<const uint64_t> rowMask);
-    void logicHFusedInit1Paged(const HalfGates &hg,
-                               std::span<const uint64_t> rowMask);
-    void logicHFullPaged(const HalfGates &hg);
-    void logicHFusedInit1FullPaged(const HalfGates &hg);
-    void writeFullPaged(uint32_t slot, uint32_t value);
-    void writeStripeFullPaged(std::span<const StripeWrite> ws);
+    // Each takes the caller's view, so a segment or program replay
+    // resolves the base pointers once, not once per op.
+    /** One LogicH (INIT1-fused when @p fused) under @p m. */
+    void logicHPaged(const HalfGates &hg, bool fused, const ColMask &m,
+                     PagedView &v);
+    /** A stripe of distinct-slot writes (a plain write is one). */
+    void writeStripePaged(std::span<const StripeWrite> ws,
+                          const ColMask &m, PagedView &v);
     /**
      * The compiled-replay executor, specialized over the storage
      * representation and the all-masks-full fast path (crossbar.cpp
@@ -521,12 +672,6 @@ class Crossbar
     template <bool kPaged, bool kFull>
     void replayProgramT(const ReplayProgram &prog, uint32_t self,
                         Stats *work);
-    void writePaged(uint32_t slot, uint32_t value,
-                    std::span<const uint64_t> rowMask);
-    void writeStripePaged(std::span<const StripeWrite> ws,
-                          std::span<const uint64_t> rowMask);
-    void logicVPaged(Gate g, uint32_t rowIn, uint32_t rowOut,
-                     uint32_t slot);
     uint64_t gatherRowsPaged(uint32_t slot, uint32_t row,
                              uint32_t count, uint32_t *out) const;
     uint64_t scatterRowsPaged(uint32_t slot, uint32_t row,

@@ -72,6 +72,7 @@ compileSegmentProgram(const SegmentTrace &t, const Geometry &geo,
     // Snapshot ids become direct word offsets into the program's own
     // arena: id k lives at k * wordsPerMask, resolved once here.
     p.maskWords = t.rowWords;
+    p.maskBlocks = t.rowMaskBlocks;
 
     const uint32_t colWords = (geo.cols + 63) / 64;
     // Column footprint of the OPEN pass: merging keeps every merged
@@ -229,6 +230,15 @@ compileSegmentProgram(const SegmentTrace &t, const Geometry &geo,
           default:              p.workLogicV += in.work; break;
         }
     }
+}
+
+void
+ReplayProgram::summarizeMasks()
+{
+    maskBlocks.clear();
+    for (size_t off = 0; off < maskWords.size(); off += wordsPerMask)
+        maskBlocks.push_back(
+            MaskBlocks::of({maskWords.data() + off, wordsPerMask}));
 }
 
 namespace

@@ -71,14 +71,9 @@ struct SegmentTrace;
 /** One segment lowered into flat, fully pre-resolved form. */
 struct ReplayProgram
 {
-    /** What one section of a merged column pass computes. */
-    enum class SecKind : uint8_t
-    {
-        Init0,      //!< out &= ~mask (full: out = 0)
-        Init1,      //!< out |= mask (full: out = ~0)
-        NotNor,     //!< out &= ~((a|b) & mask)
-        FusedNotNor //!< out = (out & ~mask) | (~(a|b) & mask)
-    };
+    /** What one section of a merged column pass computes: the
+     *  paged column kernels' kinds (sim/crossbar.hpp). */
+    using SecKind = ColKind;
 
     /** One column of a merged LogicH pass, fully resolved. */
     struct PSection
@@ -89,13 +84,7 @@ struct ReplayProgram
     };
 
     /** One pre-decoded LogicV gate of a run (replay-ready form). */
-    struct VGate
-    {
-        Gate gate = Gate::Init0;
-        uint32_t inWord = 0, inShift = 0;
-        uint32_t outWord = 0;
-        uint64_t outBit = 0;
-    };
+    using VGate = pypim::VGate;
 
     enum class Kind : uint8_t
     {
@@ -139,6 +128,10 @@ struct ReplayProgram
     /** Row-mask snapshots, wordsPerMask words each (own arena — the
      *  program is self-contained and pointer-free). */
     std::vector<uint64_t> maskWords;
+    /** Per snapshot (maskOff / wordsPerMask): the blocks its words
+     *  reach. Derived from maskWords, so never shipped on the wire
+     *  (summarizeMasks rebuilds it). */
+    std::vector<MaskBlocks> maskBlocks;
     uint32_t wordsPerMask = 0;
     /** Crossbar hull, as SegmentTrace::xbLo/xbHi. */
     uint32_t xbLo = 0, xbHi = 0;
@@ -156,6 +149,10 @@ struct ReplayProgram
     uint64_t workWrites = 0, workLogicH = 0, workLogicV = 0;
 
     bool empty() const { return instrs.empty(); }
+
+    /** Rebuild maskBlocks from maskWords (wordsPerMask must be
+     *  nonzero and divide maskWords.size()). */
+    void summarizeMasks();
 };
 
 /**

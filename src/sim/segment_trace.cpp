@@ -98,6 +98,8 @@ buildSegmentTrace(const Word *ops, size_t n, HalfGatesTable &table,
                                 [](uint64_t w) { return w == ~0ull; })
                         ? 1
                         : 0);
+                trace.rowMaskBlocks.push_back(
+                    MaskBlocks::of(mask.rowWords));
             }
             snapCurrent = true;
         }

@@ -151,6 +151,9 @@ struct SegmentTrace
      * NOT flagged — the blend is what keeps the padding bits clear.
      */
     std::vector<uint8_t> rowMaskFull;
+    /** Per row-mask snapshot: the paged blocks its words reach, so the
+     *  paged kernels decide presence without rescanning the mask. */
+    std::vector<MaskBlocks> rowMaskBlocks;
     /** Stripe arena: merged-Write pairs referenced by TraceOp::wrun. */
     std::vector<StripeWrite> writePairs;
     uint32_t wordsPerMask = 0;
@@ -166,6 +169,7 @@ struct SegmentTrace
         merged.clear();
         rowWords.clear();
         rowMaskFull.clear();
+        rowMaskBlocks.clear();
         writePairs.clear();
         xbLo = 0;
         xbHi = 0;

@@ -314,6 +314,7 @@ handleGauges(WorkerContext &ctx)
     w.u64(g.blocksPresent);
     w.u64(g.blocksElided);
     w.u64(g.cowShared);
+    w.u64(g.runColumns);
     w.u64(g.residentBytes);
     return w.take();
 }

@@ -158,6 +158,14 @@ readProgram(ByteReader &r)
     p.xbLo = r.u32();
     p.xbHi = r.u32();
     p.allMasksFull = r.u8() != 0;
+    // The block summaries are derived, not shipped: rebuild them.
+    fatalIf(p.wordsPerMask == 0 || p.wordsPerMask > 65536 / 64 ||
+                p.maskWords.size() % p.wordsPerMask != 0,
+            [&] {
+                return "trace wire: bad row-mask width " +
+                       std::to_string(p.wordsPerMask);
+            });
+    p.summarizeMasks();
     p.uniformXb = r.u8() != 0;
     p.xb = readRange(r);
     p.workWrites = r.u64();

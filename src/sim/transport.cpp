@@ -598,6 +598,7 @@ SocketTransport::gaugesAll()
         one.blocksPresent = r.u64();
         one.blocksElided = r.u64();
         one.cowShared = r.u64();
+        one.runColumns = r.u64();
         one.residentBytes = r.u64();
         r.expectEnd("gauges reply");
         g += one;

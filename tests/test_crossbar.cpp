@@ -11,9 +11,14 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/config.hpp"
 #include "common/rng.hpp"
+#include "reference_engine.hpp"
+#include "sim/batch_trace.hpp"
 #include "sim/crossbar.hpp"
+#include "sim/simulator.hpp"
 #include "uarch/partition.hpp"
 
 using namespace pypim;
@@ -652,4 +657,611 @@ TEST(PagedCrossbar, BlockByBlockDensificationStaysPerBlock)
     EXPECT_TRUE(slotRuns(paged, 5, true));
     EXPECT_TRUE(slotRuns(paged, 6, true));
     EXPECT_TRUE(slotRuns(paged, 2, false));
+}
+
+// Masked ops at span speed. Every paged op kind — masked or full-mask,
+// through the interpreter entry points or a compiled program — runs
+// on one set of column kernels that take the span loop only when the
+// output and every input resolve to whole-column spans. The fuzz
+// below holds them to the dense oracle bit for bit and to a presence
+// model written from the per-block rules alone: which blocks each op
+// densifies, and which shared blocks it clones. The model never looks
+// at run bits, so a span path that densified, cloned or skipped a
+// block the per-block loop would not shows up as a gauge mismatch.
+
+namespace
+{
+
+/** One fuzzed op: slot-wide LogicH (plain or INIT1-fused), a stripe of
+ *  distinct-slot Writes (one Write is a stripe of one) or a LogicV run
+ *  on one slot, under one row mask. */
+struct FuzzOp
+{
+    enum class Kind : uint8_t { H, Fused, Stripe, VRun } kind;
+    Gate gate = Gate::Init0;
+    uint32_t a = 0, b = 0, out = 0;  //!< slots (H, Fused)
+    std::vector<StripeWrite> ws;
+    struct V
+    {
+        Gate gate;
+        uint32_t in, out;
+    };
+    std::vector<V> vs;
+    uint32_t vslot = 0;
+    std::vector<uint64_t> mask;  //!< realized row-mask words
+    bool full = false;           //!< mask selects every row
+    Range rows{0, 0, 1};         //!< the mask as a micro-op operand
+};
+
+/**
+ * Presence and sharing of every (column, block), advanced by the
+ * per-block rules: a setting op (INIT1, fused INIT1+NOR, a 1 plane)
+ * densifies and unshares each block its mask reaches; a clearing op
+ * (INIT0, a 0 plane) unshares each reached present block; NOR/NOT
+ * unshares a reached present output block when either input block is
+ * present; LogicV touches one block per partition column. Exactly
+ * one snapshot is live at a time, so "shared" means shared with it.
+ */
+class PresenceModel
+{
+  public:
+    explicit PresenceModel(const Geometry &geo)
+        : geo_(geo), blocks_((geo.rows + 511) / 512),
+          present_(static_cast<size_t>(geo.cols) * blocks_, 0),
+          shared_(present_.size(), 0)
+    {
+    }
+
+    /** Advance the model over @p op and apply it to the oracle
+     *  @p dense (whose state before each LogicV gate decides whether
+     *  a NOT clones: only where its input bit is 1). */
+    void
+    step(const FuzzOp &op, Crossbar &dense)
+    {
+        const std::vector<bool> reach = reaches(op.mask);
+        const uint32_t pw = geo_.partitionWidth();
+        switch (op.kind) {
+          case FuzzOp::Kind::H:
+          case FuzzOp::Kind::Fused:
+            for (uint32_t p = 0; p < geo_.partitions; ++p) {
+                const uint32_t out = p * pw + op.out;
+                const uint32_t a = p * pw + op.a;
+                const uint32_t b = p * pw + op.b;
+                for (uint32_t k = 0; k < blocks_; ++k) {
+                    if (!reach[k])
+                        continue;
+                    if (op.kind == FuzzOp::Kind::Fused ||
+                        op.gate == Gate::Init1)
+                        set(out, k);
+                    else if (op.gate == Gate::Init0)
+                        touch(out, k);
+                    else if (at(a, k) || at(b, k))
+                        touch(out, k);
+                }
+            }
+            break;
+          case FuzzOp::Kind::Stripe:
+            for (const StripeWrite &w : op.ws)
+                for (uint32_t bit = 0; bit < geo_.wordBits; ++bit)
+                    for (uint32_t k = 0; k < blocks_; ++k) {
+                        if (!reach[k])
+                            continue;
+                        const uint32_t col = geo_.column(w.slot, bit);
+                        if ((w.value >> bit) & 1)
+                            set(col, k);
+                        else
+                            touch(col, k);
+                    }
+            break;
+          case FuzzOp::Kind::VRun:
+            for (const FuzzOp::V &v : op.vs) {
+                for (uint32_t p = 0; p < geo_.partitions; ++p) {
+                    const uint32_t col = p * pw + op.vslot;
+                    const uint32_t k = v.out / 512;
+                    if (v.gate == Gate::Init1)
+                        set(col, k);
+                    else if (v.gate == Gate::Init0 ||
+                             dense.bit(v.in, col))
+                        touch(col, k);
+                }
+                dense.logicV(v.gate, v.in, v.out, op.vslot);
+            }
+            return;  // the oracle has already applied the run
+        }
+        applyDirect(op, dense);
+    }
+
+    /** writeRow's rules: a 1 bit densifies, a 0 bit only clones. */
+    void
+    writeRow(uint32_t slot, uint32_t value, uint32_t row)
+    {
+        for (uint32_t bit = 0; bit < geo_.wordBits; ++bit) {
+            if ((value >> bit) & 1)
+                set(geo_.column(slot, bit), row / 512);
+            else
+                touch(geo_.column(slot, bit), row / 512);
+        }
+    }
+
+    void snapshot() { shared_ = present_, saved_ = present_; }
+    void dropSnapshot() { std::fill(shared_.begin(), shared_.end(), 0); }
+    void restore() { present_ = saved_, shared_ = saved_; }
+    /** compact(): elide present blocks the oracle holds at zero. */
+    void
+    compact(const Crossbar &dense)
+    {
+        for (uint32_t col = 0; col < geo_.cols; ++col)
+            for (uint32_t k = 0; k < blocks_; ++k) {
+                bool zero = true;
+                const uint32_t hi = std::min(geo_.rows, (k + 1) * 512);
+                for (uint32_t r = k * 512; r < hi && zero; ++r)
+                    zero = !dense.bit(r, col);
+                if (zero)
+                    present_[idx(col, k)] = shared_[idx(col, k)] = 0;
+            }
+    }
+
+    uint64_t
+    present() const
+    {
+        return std::count(present_.begin(), present_.end(), 1);
+    }
+    uint64_t
+    shared() const
+    {
+        return std::count(shared_.begin(), shared_.end(), 1);
+    }
+    /** A run is present in every block. */
+    bool
+    wholeColumn(uint32_t col) const
+    {
+        for (uint32_t k = 0; k < blocks_; ++k)
+            if (!at(col, k))
+                return false;
+        return true;
+    }
+
+    /** The interpreter entry point @p op names, on any crossbar. */
+    static void
+    applyDirect(const FuzzOp &op, Crossbar &x)
+    {
+        const Geometry &geo = x.geometry();
+        switch (op.kind) {
+          case FuzzOp::Kind::H:
+          case FuzzOp::Kind::Fused: {
+            const HalfGates hg = slotGate(geo, op.gate, op.a, op.b,
+                                          op.out);
+            if (op.kind == FuzzOp::Kind::Fused)
+                op.full ? x.logicHFusedInit1Full(hg)
+                        : x.logicHFusedInit1(hg, op.mask);
+            else
+                op.full ? x.logicHFull(hg) : x.logicH(hg, op.mask);
+            break;
+          }
+          case FuzzOp::Kind::Stripe:
+            if (op.ws.size() == 1)
+                op.full ? x.writeFull(op.ws[0].slot, op.ws[0].value)
+                        : x.write(op.ws[0].slot, op.ws[0].value,
+                                  op.mask);
+            else
+                op.full ? x.writeStripeFull(op.ws)
+                        : x.writeStripe(op.ws, op.mask);
+            break;
+          case FuzzOp::Kind::VRun:
+            for (const FuzzOp::V &v : op.vs)
+                x.logicV(v.gate, v.in, v.out, op.vslot);
+            break;
+        }
+    }
+
+  private:
+    size_t idx(uint32_t col, uint32_t k) const
+    {
+        return static_cast<size_t>(col) * blocks_ + k;
+    }
+    bool at(uint32_t col, uint32_t k) const { return present_[idx(col, k)]; }
+    void
+    set(uint32_t col, uint32_t k)
+    {
+        present_[idx(col, k)] = 1;
+        shared_[idx(col, k)] = 0;
+    }
+    void touch(uint32_t col, uint32_t k) { shared_[idx(col, k)] = 0; }
+
+    std::vector<bool>
+    reaches(const std::vector<uint64_t> &mask) const
+    {
+        std::vector<bool> r(blocks_, false);
+        for (size_t w = 0; w < mask.size(); ++w)
+            if (mask[w])
+                r[w / Crossbar::kBlockWords] = true;
+        return r;
+    }
+
+    const Geometry &geo_;
+    uint32_t blocks_;
+    std::vector<uint8_t> present_, shared_, saved_;
+};
+
+/** Row masks over @p rows: every block (incl. all rows), some blocks,
+ *  and — for the direct entry points only — none, or random words
+ *  per reached block. */
+void
+randomMask(Rng &rng, const Geometry &geo, bool direct, FuzzOp &op)
+{
+    const uint32_t rows = geo.rows;
+    const uint32_t blocks = (rows + 511) / 512;
+    const uint32_t kind = rng.word() % (direct ? 5 : 3);
+    op.full = false;
+    if (kind == 0) {
+        op.rows = Range(0, rows - 1, 1);
+        op.full = true;
+    } else if (kind == 1 || (kind == 2 && blocks == 1)) {
+        // Step <= 64 rows from within the first 64: hits every block,
+        // the short tail included.
+        const uint32_t lo = rng.word() % 64;
+        const uint32_t step = 1 + rng.word() % 64;
+        op.rows = Range(lo, lo + (rows - 1 - lo) / step * step, step);
+    } else if (kind == 2) {
+        // Blocks b0..b1, never all of them.
+        const uint32_t b0 = rng.word() % blocks;
+        uint32_t b1 = b0 + rng.word() % (blocks - b0);
+        if (b0 == 0 && b1 == blocks - 1)
+            --b1;
+        const uint32_t lo = b0 * 512 + rng.word() % 128;
+        const uint32_t hi = std::min(rows - 1, b1 * 512 + 511);
+        op.rows = Range(lo, hi - rng.word() % 64, 1);
+    }
+    if (kind <= 2) {
+        op.mask = op.rows.expand(rows);
+        return;
+    }
+    op.mask.assign((rows + 63) / 64, 0);
+    if (kind == 3)
+        return;  // reaches no block
+    for (uint32_t k = 0; k < blocks; ++k) {
+        if (rng.word() % 3 == 0)
+            continue;
+        const uint32_t w0 = k * Crossbar::kBlockWords;
+        const uint32_t w1 = std::min<uint32_t>(
+            op.mask.size(), w0 + Crossbar::kBlockWords);
+        for (uint32_t w = w0; w < w1; ++w)
+            op.mask[w] = rng.word() % 2 ? word64(rng) : 0;
+        op.mask[w0 + rng.word() % (w1 - w0)] |= 1ull << (rng.word() % 64);
+    }
+    // Clear the padding rows past the geometry.
+    if (rows % 64)
+        op.mask.back() &= (1ull << (rows % 64)) - 1;
+}
+
+/** A random op; stripes draw their slots from @p freeSlots (a stream
+ *  never writes a slot twice, so no Write is dead). */
+FuzzOp
+randomOp(Rng &rng, const Geometry &geo, bool direct,
+         std::vector<uint32_t> &freeSlots)
+{
+    FuzzOp op{};
+    const uint32_t slots = geo.slots();
+    randomMask(rng, geo, direct, op);
+    const uint32_t pick = rng.word() % 8;
+    if (pick < 2 && !freeSlots.empty()) {
+        op.kind = FuzzOp::Kind::Stripe;
+        const uint32_t n = 1 + rng.word() % 3;
+        for (uint32_t k = 0; k < n && !freeSlots.empty(); ++k) {
+            const uint32_t v = rng.word() % 3 == 0 ? 0u
+                               : rng.word() % 3 == 0 ? ~0u
+                                                     : rng.word();
+            op.ws.push_back({freeSlots.back(), v});
+            freeSlots.pop_back();
+        }
+    } else if (pick < 3) {
+        op.kind = FuzzOp::Kind::VRun;
+        op.vslot = rng.word() % slots;
+        static const Gate kV[] = {Gate::Init0, Gate::Init1, Gate::Not};
+        const uint32_t n = 1 + rng.word() % 4;
+        for (uint32_t k = 0; k < n; ++k)
+            op.vs.push_back({kV[rng.word() % 3], rng.word() % geo.rows,
+                             rng.word() % geo.rows});
+    } else {
+        static const Gate kH[] = {Gate::Init0, Gate::Init1, Gate::Nor,
+                                  Gate::Not};
+        op.kind = pick < 5 ? FuzzOp::Kind::Fused : FuzzOp::Kind::H;
+        op.gate = op.kind == FuzzOp::Kind::Fused
+            ? (rng.word() % 2 ? Gate::Nor : Gate::Not)
+            : kH[rng.word() % 4];
+        op.out = rng.word() % slots;
+        op.a = (op.out + 1 + rng.word() % (slots - 1)) % slots;
+        op.b = op.gate == Gate::Not
+            ? op.a
+            : (op.out + 1 + rng.word() % (slots - 1)) % slots;
+    }
+    return op;
+}
+
+/** The micro-ops of @p op: its row mask, then the op (a fused op as
+ *  INIT1 + NOR/NOT, which the trace fuser folds back together). */
+void
+encodeOp(const Geometry &geo, const FuzzOp &op, std::vector<Word> &out)
+{
+    out.push_back(MicroOp::rowMask(op.rows).encode());
+    const auto gate = [&](Gate g, uint32_t a, uint32_t b, uint32_t o) {
+        out.push_back(MicroOp::logicH(g, geo.column(a, 0),
+                                      geo.column(b, 0), geo.column(o, 0),
+                                      geo.partitions - 1, 1)
+                          .encode());
+    };
+    switch (op.kind) {
+      case FuzzOp::Kind::Fused:
+        gate(Gate::Init1, 0, 0, op.out);
+        [[fallthrough]];
+      case FuzzOp::Kind::H:
+        gate(op.gate, op.a, op.b, op.out);
+        break;
+      case FuzzOp::Kind::Stripe:
+        for (const StripeWrite &w : op.ws)
+            out.push_back(MicroOp::write(w.slot, w.value).encode());
+        break;
+      case FuzzOp::Kind::VRun:
+        for (const FuzzOp::V &v : op.vs)
+            out.push_back(
+                MicroOp::logicV(v.gate, v.in, v.out, op.vslot).encode());
+        break;
+    }
+}
+
+/**
+ * Seed the four operand classes on the @p paged crossbars, the oracle
+ * and the model: slots 0-5 whole-column runs (full-mask INIT1 or a full
+ * write), slots 6-11 every block present but densified block by
+ * block, slots 12-17 present in some blocks only, the rest absent.
+ * Snapshot-shared columns come from the fuzz's snapshots.
+ */
+void
+seedClasses(Rng &rng, const Geometry &geo,
+            const std::vector<Crossbar *> &paged, Crossbar &dense,
+            PresenceModel &model)
+{
+    const uint32_t blocks = (geo.rows + 511) / 512;
+    const auto writeRow = [&](uint32_t slot, uint32_t v, uint32_t row) {
+        for (Crossbar *x : paged)
+            x->writeRow(slot, v, row);
+        dense.writeRow(slot, v, row);
+        model.writeRow(slot, v, row);
+    };
+    for (uint32_t s = 0; s < 6; ++s) {
+        FuzzOp op{};
+        op.full = true;
+        op.mask = Range(0, geo.rows - 1, 1).expand(geo.rows);
+        if (s % 2) {
+            op.kind = FuzzOp::Kind::Stripe;
+            op.ws = {{s, ~0u}};
+        } else {
+            op.kind = FuzzOp::Kind::H;
+            op.gate = Gate::Init1;
+            op.out = s;
+        }
+        for (Crossbar *x : paged)
+            PresenceModel::applyDirect(op, *x);
+        model.step(op, dense);
+        for (uint32_t k = 0; k < 8; ++k)
+            writeRow(s, rng.word(), rng.word() % geo.rows);
+    }
+    for (uint32_t s = 6; s < 12; ++s)
+        for (uint32_t k = 0; k < blocks; ++k)
+            for (uint32_t r = k * 512; r < std::min(geo.rows, k * 512 + 512);
+                 r += 61)
+                writeRow(s, rng.word() | 1u << 31 | 1u, r);
+    for (uint32_t s = 12; s < 18; ++s)
+        writeRow(s, rng.word(), (rng.word() % blocks) * 512 +
+                                    rng.word() % std::min(geo.rows, 512u));
+}
+
+/** Two snapshots hold the same image: equal canonical walks. */
+bool
+sameImage(const Crossbar::Snapshot &a, const Crossbar::Snapshot &b)
+{
+    const auto walk = [](const Crossbar::Snapshot &s) {
+        std::vector<uint64_t> v;
+        s.forEachNonZeroBlock([&](uint32_t col, uint32_t blk,
+                                  const uint64_t *w, uint32_t n) {
+            v.push_back(col);
+            v.push_back(blk);
+            v.insert(v.end(), w, w + n);
+        });
+        return v;
+    };
+    return walk(a) == walk(b);
+}
+
+} // namespace
+
+class PagedCrossbarMasked : public ::testing::TestWithParam<uint32_t>
+{
+  protected:
+    Geometry
+    geo() const
+    {
+        Geometry g = testGeometry();
+        g.rows = GetParam();
+        g.numCrossbars = 1;
+        return g;
+    }
+};
+
+class PagedCrossbarTraces : public PagedCrossbarMasked
+{
+};
+
+TEST_P(PagedCrossbarMasked, MaskedInterpreterMatchesDenseAndPerBlockPresence)
+{
+    const Geometry g = geo();
+    Crossbar paged(g, XbarStorage::Paged);
+    Crossbar dense(g, XbarStorage::Dense);
+    PresenceModel model(g);
+    Rng rng(GetParam() * 7919u + 1);
+    seedClasses(rng, g, {&paged}, dense, model);
+    Crossbar::Snapshot snap, frozen;
+    bool live = false;
+    for (uint32_t iter = 0; iter < 600; ++iter) {
+        const uint32_t action = rng.word() % 40;
+        if (action == 0) {
+            snap = paged.snapshot();
+            frozen = dense.snapshot();
+            model.snapshot();
+            live = true;
+        } else if (action == 1 && live) {
+            paged.restore(snap);
+            dense.restore(frozen);
+            model.restore();
+        } else if (action == 2) {
+            snap = {};
+            model.dropSnapshot();
+            live = false;
+        } else if (action == 3) {
+            paged.compact();
+            model.compact(dense);
+        } else {
+            std::vector<uint32_t> any(g.slots());
+            for (uint32_t s = 0; s < g.slots(); ++s)
+                any[s] = s;
+            const FuzzOp op = randomOp(rng, g, true, any);
+            PresenceModel::applyDirect(op, paged);
+            model.step(op, dense);
+        }
+        ASSERT_TRUE(paged.sameState(dense)) << "iter " << iter;
+        const StorageGauges sg = paged.storageGauges();
+        ASSERT_EQ(sg.blocksPresent, model.present()) << "iter " << iter;
+        ASSERT_EQ(sg.cowShared, model.shared()) << "iter " << iter;
+        if (live) {
+            ASSERT_TRUE(sameImage(snap, frozen))
+                << "snapshot moved: iter " << iter;
+        }
+        for (uint32_t col = 0; col < g.cols; ++col) {
+            if (paged.columnIsRun(col)) {
+                ASSERT_TRUE(model.wholeColumn(col))
+                    << "run column " << col << " iter " << iter;
+            }
+        }
+    }
+}
+
+TEST_P(PagedCrossbarTraces, MaskedCompiledAndInterpretedTracesMatch)
+{
+    const Geometry g = geo();
+    const EngineConfig ec =
+        EngineConfig{}.withStorage(XbarStorage::Paged);
+    Simulator compiled(g, ec);
+    Simulator interp(g, ec);
+    Crossbar dense(g, XbarStorage::Dense);
+    PresenceModel model(g);
+    Rng rng(GetParam() * 104729u + 3);
+    seedClasses(rng, g, {&compiled.crossbar(0), &interp.crossbar(0)},
+                dense, model);
+    Crossbar::Snapshot snapC, snapI, frozen;
+    bool live = false;
+    for (uint32_t round = 0; round < 80; ++round) {
+        // Between streams: snapshot (sharing every present block with
+        // the image), drop it, restore it, or compact.
+        const uint32_t action = rng.word() % 6;
+        Crossbar &xc = compiled.crossbar(0);
+        Crossbar &xi = interp.crossbar(0);
+        if (action == 0) {
+            snapC = xc.snapshot();
+            snapI = xi.snapshot();
+            frozen = dense.snapshot();
+            model.snapshot();
+            live = true;
+        } else if (action == 1 && live) {
+            xc.restore(snapC);
+            xi.restore(snapI);
+            dense.restore(frozen);
+            model.restore();
+        } else if (action == 2) {
+            snapC = {};
+            snapI = {};
+            model.dropSnapshot();
+            live = false;
+        } else if (action == 3) {
+            xc.compact();
+            xi.compact();
+            model.compact(dense);
+        }
+        std::vector<uint32_t> freeSlots(g.slots());
+        for (uint32_t s = 0; s < g.slots(); ++s)
+            freeSlots[s] = (s * 13 + round) % g.slots();
+        std::vector<Word> ops = {
+            MicroOp::crossbarMask(Range(0, 0, 1)).encode()};
+        const uint32_t n = 4 + rng.word() % 12;
+        for (uint32_t k = 0; k < n; ++k) {
+            const FuzzOp op = randomOp(rng, g, false, freeSlots);
+            encodeOp(g, op, ops);
+            model.step(op, dense);
+        }
+        auto tc = compiled.prepareTrace(ops.data(), ops.size(), true);
+        std::shared_ptr<const BatchTrace> ti;
+        {
+            test::InterpretedReplay off;
+            ti = interp.prepareTrace(ops.data(), ops.size(), true);
+        }
+        ASSERT_NE(tc, nullptr);
+        ASSERT_NE(ti, nullptr);
+        ASSERT_FALSE(tc->programs.empty());
+        ASSERT_TRUE(ti->programs.empty());
+        compiled.submitTrace(tc);
+        interp.submitTrace(ti);
+        compiled.flush();
+        interp.flush();
+        for (Crossbar *x : {&xc, &xi}) {
+            const char *who = x == &xc ? "compiled" : "interpreted";
+            ASSERT_TRUE(x->sameState(dense)) << who << " round " << round;
+            const StorageGauges sg = x->storageGauges();
+            ASSERT_EQ(sg.blocksPresent, model.present())
+                << who << " round " << round;
+            ASSERT_EQ(sg.cowShared, model.shared())
+                << who << " round " << round;
+        }
+        if (live) {
+            ASSERT_TRUE(sameImage(snapC, frozen))
+                << "compiled snapshot moved, round " << round;
+            ASSERT_TRUE(sameImage(snapI, frozen))
+                << "interpreted snapshot moved, round " << round;
+        }
+    }
+}
+
+// One short block per column (every present column is a run), three
+// blocks with a short tail, two and four full blocks. Simulator
+// geometries are powers of two, so traces never see a short tail.
+INSTANTIATE_TEST_SUITE_P(Rows, PagedCrossbarMasked,
+                         ::testing::Values(128u, 1280u, 2048u));
+INSTANTIATE_TEST_SUITE_P(Rows, PagedCrossbarTraces,
+                         ::testing::Values(128u, 1024u, 2048u));
+
+TEST(PagedCrossbar, RunColumnsGaugeTracksRuns)
+{
+    const Geometry geo = tallGeometry();
+    Crossbar paged(geo, XbarStorage::Paged);
+    EXPECT_EQ(paged.storageGauges().runColumns, 0u);
+    const Crossbar::Snapshot empty = paged.snapshot();
+    // Full-mask densification lays every plane of slot 6 out as a run.
+    paged.logicHFull(slotGate(geo, Gate::Init1, 0, 0, 6));
+    EXPECT_EQ(paged.storageGauges().runColumns, geo.wordBits);
+    // ... and a masked one reaching every block does too.
+    const auto everyBlock = Range(3, geo.rows - 1, 64).expand(geo.rows);
+    paged.logicHFusedInit1(slotGate(geo, Gate::Nor, 6, 6, 7), everyBlock);
+    EXPECT_EQ(paged.storageGauges().runColumns, 2u * geo.wordBits);
+    // A mask missing a block densifies per block: no run.
+    paged.logicH(slotGate(geo, Gate::Init1, 0, 0, 8),
+                 Range(0, 1023, 1).expand(geo.rows));
+    EXPECT_EQ(paged.storageGauges().runColumns, 2u * geo.wordBits);
+    // restore() drops every run; the dense gauge never reports any.
+    const Crossbar::Snapshot dense = paged.snapshot();
+    paged.restore(dense);
+    EXPECT_EQ(paged.storageGauges().runColumns, 0u);
+    paged.logicHFull(slotGate(geo, Gate::Init1, 0, 0, 9));
+    EXPECT_EQ(paged.storageGauges().runColumns, geo.wordBits);
+    paged.restore(empty);
+    EXPECT_EQ(paged.storageGauges().runColumns, 0u);
+    EXPECT_EQ(Crossbar(geo, XbarStorage::Dense).storageGauges().runColumns,
+              0u);
 }

@@ -22,6 +22,22 @@ using namespace pypim;
 namespace
 {
 
+/** Host references with the int32 wrap-around the device implements
+ *  (signed overflow is undefined on the host). */
+int32_t
+wrapAdd(int32_t a, int32_t b)
+{
+    return static_cast<int32_t>(static_cast<uint32_t>(a) +
+                                static_cast<uint32_t>(b));
+}
+
+int32_t
+wrapMul(int32_t a, int32_t b)
+{
+    return static_cast<int32_t>(static_cast<uint32_t>(a) *
+                                static_cast<uint32_t>(b));
+}
+
 struct GeoCase
 {
     const char *name;
@@ -65,8 +81,8 @@ TEST_P(GeometrySweep, ArithmeticAcrossWarpBoundaries)
     const auto sum = (a + b).toIntVector();
     const auto prd = (a * b).toIntVector();
     for (uint64_t i = 0; i < n; ++i) {
-        ASSERT_EQ(sum[i], va[i] + vb[i]) << "i=" << i;
-        ASSERT_EQ(prd[i], va[i] * vb[i]) << "i=" << i;
+        ASSERT_EQ(sum[i], wrapAdd(va[i], vb[i])) << "i=" << i;
+        ASSERT_EQ(prd[i], wrapMul(va[i], vb[i])) << "i=" << i;
     }
 }
 
@@ -151,8 +167,8 @@ TEST_P(GeometrySweep, PagedStorageMatchesDenseFullStack)
         const auto sum = s.toIntVector();
         const auto prd = p.toIntVector();
         for (uint64_t i = 0; i < n; ++i) {
-            ASSERT_EQ(sum[i], va[i] + vb[i]) << "i=" << i;
-            ASSERT_EQ(prd[i], va[i] * vb[i]) << "i=" << i;
+            ASSERT_EQ(sum[i], wrapAdd(va[i], vb[i])) << "i=" << i;
+            ASSERT_EQ(prd[i], wrapMul(va[i], vb[i])) << "i=" << i;
         }
         dev->flush();
     }

@@ -203,9 +203,13 @@ TEST_P(PropertyTest, WhereSelectsExactly)
     const auto hi = where(c, b, a).toIntVector();
     for (size_t i = 0; i < va.size(); ++i) {
         EXPECT_EQ(std::min(va[i], vb[i]), std::min(lo[i], hi[i]));
-        EXPECT_EQ(lo[i] + hi[i],
-                  static_cast<int32_t>(
-                      static_cast<int64_t>(va[i]) + vb[i]));
+        // Sums wrap as the device's int32 adds do (computed unsigned:
+        // signed overflow is undefined on the host).
+        const auto wrapSum = [](int32_t x, int32_t y) {
+            return static_cast<int32_t>(static_cast<uint32_t>(x) +
+                                        static_cast<uint32_t>(y));
+        };
+        EXPECT_EQ(wrapSum(lo[i], hi[i]), wrapSum(va[i], vb[i]));
     }
 }
 
